@@ -1,14 +1,10 @@
-"""Kernel-tier speedups: table-driven Hilbert and the compiled backend.
+"""Kernel-tier speedups: table-driven Hilbert encode/decode.
 
-Two before/after comparisons, both bit-identical by construction:
-
-* the retained per-level rotation kernels (``loop_encode`` /
-  ``skilling_encode``) vs the table-driven state machines that replaced
-  them inside :class:`~repro.sfc.hilbert.HilbertCurve` / ``Hilbert3D``,
-  at the paper's 4096-side (order 12) 2D tier and the order-7 3D tier;
-* the pure-NumPy vs compiled ``repro.kernels`` backends for the CSR
-  expansion and the histogram-ACD gather+dot at the 4096-rank tier
-  (skipped gracefully when the optional extension was not built).
+The retained per-level rotation kernels (``loop_encode`` /
+``skilling_encode``) vs the table-driven state machines that replaced
+them inside :class:`~repro.sfc.hilbert.HilbertCurve` / ``Hilbert3D``,
+at the paper's 4096-side (order 12) 2D tier and the order-7 3D tier;
+both are bit-identical by construction.
 
 Each run appends one record to ``benchmarks/BENCH_kernels.json`` so the
 trajectory across commits stays visible.
@@ -23,9 +19,6 @@ from pathlib import Path
 
 import numpy as np
 
-from repro import kernels
-from repro.kernels import numpy_impl
-from repro.runtime import configure
 from repro.sfc.curves3d import Hilbert3D, skilling_decode, skilling_encode
 from repro.sfc.hilbert import HilbertCurve, loop_decode, loop_encode
 
@@ -33,10 +26,8 @@ TRAJECTORY = Path(__file__).parent / "BENCH_kernels.json"
 
 _TINY = bool(os.environ.get("REPRO_BENCH_TINY"))
 N_POINTS = 20_000 if _TINY else 1_000_000
-N_EVENTS = 20_000 if _TINY else 2_000_000
 ORDER_2D = 12  # side 4096, the paper's largest 2D lattice
 ORDER_3D = 7
-RANKS = 4_096
 # Throughput gates (tiny CI sizes are dominated by fixed overheads).
 FLOOR_2D = 1.0 if _TINY else 3.0
 FLOOR_3D = 1.0 if _TINY else 3.0
@@ -132,51 +123,3 @@ def test_hilbert3d_table_vs_loop(report):
     assert record["encode_speedup"] >= FLOOR_3D
     assert record["decode_speedup"] >= FLOOR_3D
 
-
-def test_backend_kernels_numpy_vs_native(report):
-    rng = np.random.default_rng(2)
-    lengths = rng.integers(0, 24, N_EVENTS // 8).astype(np.int64)
-    matrix = rng.integers(0, 64, (RANKS, RANKS)).astype(np.int32)
-    src = rng.integers(0, RANKS, N_EVENTS).astype(np.int64)
-    dst = rng.integers(0, RANKS, N_EVENTS).astype(np.int64)
-    weights = rng.integers(1, 9, N_EVENTS).astype(np.int64)
-
-    numpy_csr_s = _best_of(lambda: numpy_impl.csr_expand(lengths))
-    numpy_dot_s = _best_of(lambda: numpy_impl.histogram_dot(matrix, src, dst, weights))
-    record = {
-        "bench": "backend_kernels",
-        "tiny": _TINY,
-        "native_available": kernels.native_available(),
-        "rows": int(lengths.size),
-        "events": N_EVENTS,
-        "ranks": RANKS,
-        "numpy_csr_s": round(numpy_csr_s, 4),
-        "numpy_histogram_dot_s": round(numpy_dot_s, 4),
-    }
-
-    if kernels.native_available():
-        with configure(kernel_backend="native"):
-            assert kernels.active_backend() == "native"
-            native_csr = kernels._native.csr_expand(lengths)
-            assert all(
-                np.array_equal(a, b)
-                for a, b in zip(native_csr, numpy_impl.csr_expand(lengths))
-            )
-            assert kernels._native.histogram_dot(
-                matrix, src, dst, weights
-            ) == numpy_impl.histogram_dot(matrix, src, dst, weights)
-            native_csr_s = _best_of(lambda: kernels._native.csr_expand(lengths))
-            native_dot_s = _best_of(
-                lambda: kernels._native.histogram_dot(matrix, src, dst, weights)
-            )
-        record.update(
-            {
-                "native_csr_s": round(native_csr_s, 4),
-                "native_histogram_dot_s": round(native_dot_s, 4),
-                "csr_speedup": round(numpy_csr_s / native_csr_s, 2),
-                "histogram_dot_speedup": round(numpy_dot_s / native_dot_s, 2),
-            }
-        )
-
-    append_trajectory(record)
-    report("Backend kernels: NumPy vs compiled", json.dumps(record, indent=2))

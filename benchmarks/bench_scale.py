@@ -1,18 +1,19 @@
-"""Memory-bounded scale tier: tiled ACD wall time and peak RSS.
+"""Memory-bounded scale tier: chunked matrix-free ACD wall time and peak RSS.
 
 The dense ACD path needs a ``p x p`` int32 distance matrix — 64 MiB at
 the paper's 4096-rank tier, 16 GiB at ``p = 2**16`` and 4 TiB at
 ``p = 2**20`` — so rank counts beyond the paper were simply impossible
-allocations.  The tiled path (``REPRO_MEMORY_BUDGET``) evaluates the
-same histograms in budget-sized distance tiles, so this benchmark walks
-the rank ladder ``p ∈ {4096, 2**16, 2**18}`` (plus the ``2**20``
-acceptance tier at full size) recording wall time and the process
-high-water RSS, and cross-checks bit-identity against the tractable
-references at every tier:
+allocations.  Past the memory budget (``REPRO_MEMORY_BUDGET``) no
+matrix is built: the histogram is evaluated through the vectorised
+distance kernel over chunks of at most ``budget // 32`` pairs.  This
+benchmark walks the rank ladder ``p ∈ {4096, 2**16, 2**18}`` (plus the
+``2**20`` acceptance tier at full size) recording wall time and the
+process high-water RSS, and cross-checks bit-identity against the
+tractable references at every tier:
 
-* at ``p = 4096`` the tiled result must equal the *dense* matrix path;
-* at every tier it must equal the matrix-free streaming evaluation
-  (vectorised per-pair distances — exact at any ``p``).
+* at ``p = 4096`` the chunked result must equal the *dense* matrix path;
+* at every tier it must equal the streaming evaluation (per-event
+  distances — exact at any ``p``).
 
 Each run appends one record to ``benchmarks/BENCH_scale.json`` so the
 trajectory across commits stays visible.
@@ -30,7 +31,7 @@ import numpy as np
 
 from repro import obs
 from repro.fmm.events import CommunicationEvents
-from repro.metrics.acd import compute_acd, dense_matrix_bytes, tile_side_for_budget
+from repro.metrics.acd import compute_acd, dense_matrix_bytes
 from repro.topology.registry import make_topology
 
 TRAJECTORY = Path(__file__).parent / "BENCH_scale.json"
@@ -73,29 +74,35 @@ def _random_histogram(p: int, n_events: int, seed: int):
     return events, events.compact(p)
 
 
+def _matrix_bytes_built(rec) -> int:
+    return rec.counters.get("topo_cache.matrix_bytes_built", 0)
+
+
 def test_scale_ladder(report):
     rows = []
     for tier, p in enumerate(TIERS):
-        # Tiling only engages once the dense matrix exceeds the budget;
-        # at small tiers shrink the budget so the tiled path is always
-        # the one being measured (and compared against dense).
+        # The chunked path only engages once the dense matrix exceeds
+        # the budget; at small tiers shrink the budget so the chunked
+        # path is always the one being measured (and compared against
+        # dense).
         budget = min(BUDGET, dense_matrix_bytes(p) // 2)
         topology = make_topology("torus", p, processor_curve="hilbert")
         events, histogram = _random_histogram(p, N_EVENTS, seed=tier)
         with obs.recording() as rec:
-            tiled, tiled_s = _timed(
+            chunked, chunked_s = _timed(
                 lambda: compute_acd(histogram, topology, memory_budget=budget)
             )
+        assert _matrix_bytes_built(rec) == 0  # over budget: matrix-free
         streamed, stream_s = _timed(
             lambda: compute_acd(events, topology, cache=None, memory_budget=budget)
         )
-        assert tiled == streamed  # exact at every rank count
+        assert chunked == streamed  # exact at every rank count
         dense_s = None
         if dense_matrix_bytes(p) <= BUDGET:  # tractable reference tier
             dense, dense_s = _timed(
                 lambda: compute_acd(histogram, topology, memory_budget=None)
             )
-            assert tiled == dense  # bit-identical to the dense matrix path
+            assert chunked == dense  # bit-identical to the dense matrix path
         rows.append(
             {
                 "p": p,
@@ -103,12 +110,10 @@ def test_scale_ladder(report):
                 "pairs": histogram.num_pairs,
                 "budget_bytes": budget,
                 "dense_matrix_bytes": dense_matrix_bytes(p),
-                "tile_side": tile_side_for_budget(budget, p),
-                "tiles": rec.counters.get("acd.tiles"),
-                "tiled_s": round(tiled_s, 4),
+                "chunked_s": round(chunked_s, 4),
                 "streaming_s": round(stream_s, 4),
                 "dense_s": None if dense_s is None else round(dense_s, 4),
-                "acd": tiled.acd,
+                "acd": chunked.acd,
                 "peak_rss_kib": _peak_rss_kib(),
             }
         )
@@ -125,28 +130,26 @@ def test_scale_ladder(report):
 
 def test_scale_smoke_2e16(report):
     """The CI scale-smoke scenario: 2**16 ranks under a deliberately tiny
-    budget (thousands of tiles) must match the matrix-free reference."""
+    budget must build no matrix and match the streaming reference."""
     p = 1 << 16
-    budget = 8 << 20  # 8 MiB: dense would need 16 GiB, forces ~512-rank tiles
+    budget = 8 << 20  # 8 MiB: dense would need 16 GiB
     topology = make_topology("torus", p, processor_curve="hilbert")
     events, histogram = _random_histogram(p, 20_000, seed=99)
     with obs.recording() as rec:
-        tiled, tiled_s = _timed(
+        chunked, chunked_s = _timed(
             lambda: compute_acd(histogram, topology, memory_budget=budget)
         )
     reference = compute_acd(events, topology, cache=None, memory_budget=budget)
-    assert tiled == reference
-    assert rec.counters["acd.tiles"] > 100  # genuinely tiled, not one block
+    assert chunked == reference
+    assert _matrix_bytes_built(rec) == 0
     report(
         "scale-smoke: 2**16 ranks under an 8 MiB budget",
         json.dumps(
             {
                 "p": p,
                 "budget_bytes": budget,
-                "tile_side": tile_side_for_budget(budget, p),
-                "tiles": rec.counters["acd.tiles"],
-                "tiled_s": round(tiled_s, 4),
-                "acd": tiled.acd,
+                "chunked_s": round(chunked_s, 4),
+                "acd": chunked.acd,
                 "peak_rss_kib": _peak_rss_kib(),
             },
             indent=2,

@@ -37,7 +37,6 @@ from typing import Hashable
 
 import numpy as np
 
-from repro import kernels
 from repro._typing import IntArray
 from repro.topology.base import Topology
 from repro.topology.bus import BusTopology
@@ -260,11 +259,15 @@ class RoutedBatch:
 def _csr_layout(lengths: IntArray) -> tuple[IntArray, IntArray, IntArray]:
     """CSR offsets, per-slot message index and within-message position.
 
-    Delegates to :func:`repro.kernels.csr_expand`, which serves the
-    expansion from the compiled backend when one is built and selected
-    (``REPRO_KERNEL_BACKEND``); both backends are bit-identical.
+    ``offsets`` has ``lengths.size + 1`` entries (``offsets[-1]`` is the
+    total slot count); slot ``j`` belongs to message ``owner[j]`` at
+    position ``within[j]`` inside that message's path.
     """
-    return kernels.csr_expand(np.asarray(lengths, dtype=np.int64))
+    lengths = np.asarray(lengths, dtype=np.int64)
+    offsets = np.concatenate([np.zeros(1, dtype=np.int64), np.cumsum(lengths)])
+    owner = np.repeat(np.arange(lengths.size, dtype=np.int64), lengths)
+    within = np.arange(offsets[-1], dtype=np.int64) - offsets[owner]
+    return offsets, owner, within
 
 
 def _axis_legs(a: IntArray, b: IntArray, side: int, wrap: bool) -> tuple[IntArray, IntArray]:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.experiments.config import Scale
 from repro.experiments.io import ResultSchema
 from repro.experiments.reporting import format_series
 from repro.experiments.study import (
@@ -21,7 +20,6 @@ from repro.experiments.study import (
     Study,
     StudyContext,
     StudyPlan,
-    _legacy_runner_error,
     outputs_by_key,
     register_study,
     run_study,
@@ -29,7 +27,7 @@ from repro.experiments.study import (
 from repro.metrics.anns import neighbor_stretch
 from repro.sfc.registry import PAPER_CURVES
 
-__all__ = ["AnnsStudyResult", "ANNS_STUDY", "run_anns_study", "format_anns_study"]
+__all__ = ["AnnsStudyResult", "ANNS_STUDY", "format_anns_study"]
 
 #: Radii of the two panels of Fig. 5.
 FIG5_RADII: tuple[int, ...] = (1, 6)
@@ -114,17 +112,6 @@ ANNS_STUDY = register_study(
         schema=ResultSchema(AnnsStudyResult, flatten=_flatten, int_key_fields=("values",)),
     )
 )
-
-
-def run_anns_study(
-    scale: Scale | str | None = None,
-    curves: tuple[str, ...] = PAPER_CURVES,
-    radii: tuple[int, ...] = FIG5_RADII,
-) -> AnnsStudyResult:
-    """Removed legacy runner for the Fig. 5 sweep; raises with the
-    ``run_study("fig5")`` replacement."""
-    _legacy_runner_error("run_anns_study", "fig5")
-    raise AssertionError("unreachable")
 
 
 def main() -> None:  # pragma: no cover - exercised via CLI test

@@ -175,8 +175,9 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         metavar="BYTES",
         help="peak working-set budget for metric evaluation, e.g. 2GiB or 512MiB; "
-        "ACD evaluations switch to memory-bounded tiles when the dense distance "
-        "matrix would exceed it (default: REPRO_MEMORY_BUDGET env var or unbounded); "
+        "ACD evaluations build no distance matrix and chunk their distance lookups "
+        "when the dense matrix would exceed it (default: REPRO_MEMORY_BUDGET env var "
+        "or unbounded); "
         "results are identical for any budget",
     )
     tolerance = parser.add_mutually_exclusive_group()

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro._typing import SeedLike
 from repro.distributions.registry import PAPER_DISTRIBUTIONS
 from repro.experiments.config import FmmCase, Scale
 from repro.experiments.io import ResultSchema
@@ -30,7 +29,6 @@ from repro.experiments.study import (
     Study,
     StudyContext,
     StudyPlan,
-    _legacy_runner_error,
     outputs_by_key,
     register_study,
 )
@@ -41,9 +39,6 @@ __all__ = [
     "RADIUS_SWEEP_STUDY",
     "INPUT_SIZE_SWEEP_STUDY",
     "DISTRIBUTION_SWEEP_STUDY",
-    "run_radius_sweep",
-    "run_input_size_sweep",
-    "run_distribution_sweep",
     "format_sweep",
 ]
 
@@ -216,45 +211,3 @@ DISTRIBUTION_SWEEP_STUDY = register_study(
         schema=_SWEEP_SCHEMA,
     )
 )
-
-
-def run_radius_sweep(
-    scale: Scale | str | None = None,
-    *,
-    radii: tuple[int, ...] = DEFAULT_RADII,
-    curves: tuple[str, ...] = PAPER_CURVES,
-    seed: SeedLike = 2013,
-    trials: int | None = None,
-) -> SweepResult:
-    """Removed legacy runner; raises with the ``run_study("sweep_radius")``
-    replacement."""
-    _legacy_runner_error("run_radius_sweep", "sweep_radius")
-    raise AssertionError("unreachable")
-
-
-def run_input_size_sweep(
-    scale: Scale | str | None = None,
-    *,
-    fractions: tuple[float, ...] = DEFAULT_FRACTIONS,
-    curves: tuple[str, ...] = PAPER_CURVES,
-    seed: SeedLike = 2013,
-    trials: int | None = None,
-) -> SweepResult:
-    """Removed legacy runner; raises with the
-    ``run_study("sweep_input_size")`` replacement."""
-    _legacy_runner_error("run_input_size_sweep", "sweep_input_size")
-    raise AssertionError("unreachable")
-
-
-def run_distribution_sweep(
-    scale: Scale | str | None = None,
-    *,
-    distributions: tuple[str, ...] = PAPER_DISTRIBUTIONS,
-    curves: tuple[str, ...] = PAPER_CURVES,
-    seed: SeedLike = 2013,
-    trials: int | None = None,
-) -> SweepResult:
-    """Removed legacy runner; raises with the
-    ``run_study("sweep_distribution")`` replacement."""
-    _legacy_runner_error("run_distribution_sweep", "sweep_distribution")
-    raise AssertionError("unreachable")

@@ -13,9 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro._typing import SeedLike
 from repro.distributions.registry import PAPER_DISTRIBUTIONS
-from repro.experiments.config import FmmCase, Scale
+from repro.experiments.config import FmmCase
 from repro.experiments.io import ResultSchema
 from repro.experiments.reporting import format_matrix, pretty
 from repro.experiments.study import (
@@ -23,14 +22,13 @@ from repro.experiments.study import (
     Study,
     StudyContext,
     StudyPlan,
-    _legacy_runner_error,
     outputs_by_key,
     register_study,
     run_study,
 )
 from repro.sfc.registry import PAPER_CURVES
 
-__all__ = ["SfcPairsResult", "SFC_PAIRS_STUDY", "run_sfc_pairs", "format_sfc_pairs"]
+__all__ = ["SfcPairsResult", "SFC_PAIRS_STUDY", "format_sfc_pairs"]
 
 
 @dataclass(frozen=True)
@@ -149,22 +147,6 @@ SFC_PAIRS_STUDY = register_study(
         schema=ResultSchema(SfcPairsResult, flatten=_flatten),
     )
 )
-
-
-def run_sfc_pairs(
-    scale: Scale | str | None = None,
-    *,
-    seed: SeedLike = 2013,
-    trials: int | None = None,
-    distributions: tuple[str, ...] = PAPER_DISTRIBUTIONS,
-    curves: tuple[str, ...] = PAPER_CURVES,
-    topology: str = "torus",
-    parts: tuple[str, ...] = ("nfi", "ffi"),
-) -> SfcPairsResult:
-    """Removed legacy runner for the §VI-A study; raises with the
-    ``run_study("tables")`` replacement."""
-    _legacy_runner_error("run_sfc_pairs", "tables")
-    raise AssertionError("unreachable")
 
 
 def main() -> None:  # pragma: no cover - exercised via CLI test

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro._typing import SeedLike
 from repro.distributions.three_d import get_distribution3d
 from repro.experiments.io import ResultSchema
 from repro.experiments.reporting import format_matrix, format_series
@@ -28,7 +27,6 @@ from repro.experiments.study import (
     Study,
     StudyContext,
     StudyPlan,
-    _legacy_runner_error,
     outputs_by_key,
     register_study,
 )
@@ -43,8 +41,6 @@ __all__ = [
     "Anns3dStudyResult",
     "STUDY3D",
     "ANNS3D_STUDY",
-    "run_study3d",
-    "run_anns3d_study",
     "format_study3d",
     "format_anns3d_study",
 ]
@@ -265,32 +261,3 @@ ANNS3D_STUDY = register_study(
         schema=ResultSchema(Anns3dStudyResult, flatten=_flatten_anns3d),
     )
 )
-
-
-def run_study3d(
-    num_particles: int = DEFAULT_PARTICLES_3D,
-    order: int = DEFAULT_ORDER_3D,
-    num_processors: int = DEFAULT_PROCESSORS_3D,
-    *,
-    radius: int = 1,
-    distribution: str = "uniform3d",
-    topologies: tuple[str, ...] = TOPOLOGIES_3D,
-    curves: tuple[str, ...] = PAPER_CURVES_3D,
-    trials: int = DEFAULT_TRIALS_3D,
-    seed: SeedLike = 2013,
-) -> Study3DResult:
-    """Removed legacy runner; raises with the ``run_study("validate3d")``
-    replacement."""
-    _legacy_runner_error("run_study3d", "validate3d")
-    raise AssertionError("unreachable")
-
-
-def run_anns3d_study(
-    orders: tuple[int, ...] = DEFAULT_ANNS3D_ORDERS,
-    curves: tuple[str, ...] = PAPER_CURVES_3D,
-    radius: int = 1,
-) -> dict[str, list[float]]:
-    """Removed legacy runner; raises with the ``run_study("anns3d")``
-    replacement."""
-    _legacy_runner_error("run_anns3d_study", "anns3d")
-    raise AssertionError("unreachable")

@@ -28,25 +28,17 @@ histogram evaluation is one gather + dot product against the (cached)
 bit-identical to streaming over the events the histogram was compacted
 from.
 
-Memory-bounded (tiled) evaluation
----------------------------------
+Memory-bounded evaluation
+-------------------------
 A ``p x p`` distance matrix is 4 TiB at ``p = 2**20`` — far beyond any
 budget — so both entry points also take a ``memory_budget`` (defaulting
 to :attr:`repro.runtime.RuntimeConfig.memory_budget`,
 ``REPRO_MEMORY_BUDGET`` / ``--memory-budget``).  When the dense matrix
-would not fit the budget, a histogram is evaluated *tiled*: the
-(src, dst) rank plane is partitioned into square tiles sized by
-:func:`tile_side_for_budget`, each non-empty tile is evaluated either
-against a cached distance block (:meth:`TopologyCache.block_for_queries`
-+ the fused :func:`repro.kernels.tile_histogram_dot`) or directly
-through the vectorised distance kernel on its pairs, and the per-tile
-:class:`ACDResult` partials reduce through :meth:`ACDResult.merged`.
-Only tiles containing pairs are visited, so sparse million-rank
-histograms cost ``O(#pairs)``, never ``O(p**2)`` — and because every
-partial sum is exact ``int64`` arithmetic over a disjoint partition of
-the pair set, the tiled result is bit-identical to the dense and
-streaming paths.  See :mod:`repro.experiments.sharded` for the
-fan-out/resumable form of the same computation.
+would not fit the budget, no matrix is built: a histogram is evaluated
+matrix-free, through the vectorised distance kernel over chunks of at
+most ``budget // 32`` pairs, and streamed events bypass the cache.
+Every partial sum is exact ``int64`` arithmetic, so the result is
+bit-identical to the dense and streaming paths for any budget.
 """
 
 from __future__ import annotations
@@ -54,12 +46,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Union
 
-import math
-from typing import Iterator
-
 import numpy as np
 
-from repro import kernels, obs
 from repro.errors import ConfigurationError
 from repro.fmm.events import CommunicationEvents, PairHistogram
 from repro.runtime import runtime_config
@@ -70,10 +58,7 @@ __all__ = [
     "ACDResult",
     "compute_acd",
     "acd_breakdown",
-    "tile_side_for_budget",
-    "iter_histogram_tiles",
     "dense_matrix_bytes",
-    "TILE_BYTES_PER_CELL",
 ]
 
 #: Either form of an event multiset accepted by the ACD evaluators.
@@ -82,12 +67,11 @@ EventsLike = Union[CommunicationEvents, PairHistogram]
 _DEFAULT_CACHE = "default"  # sentinel: resolve the shared cache at call time
 _DEFAULT_BUDGET = "config"  # sentinel: read RuntimeConfig.memory_budget at call time
 
-#: Conservative working-set estimate per tile cell: the resident
-#: ``int32`` block plus the ``int64`` build/gather intermediates the
-#: vectorised distance kernels allocate while filling it.  At the
-#: 2 GiB acceptance budget this yields 8192-rank tiles (a 256 MiB
-#: ``int32`` block), comfortably inside the default block-cache budget.
-TILE_BYTES_PER_CELL = 32
+#: Conservative working-set estimate per pair of an over-budget chunk:
+#: the ``int64`` distances, their ``int64`` copy and the intermediates
+#: the vectorised distance kernels allocate.  A 2 GiB budget evaluates
+#: chunks of 64 Mi pairs.
+_CHUNK_BYTES_PER_PAIR = 32
 
 
 @dataclass(frozen=True)
@@ -140,130 +124,6 @@ def dense_matrix_bytes(num_processors: int) -> int:
     return num_processors * num_processors * 4
 
 
-def tile_side_for_budget(memory_budget: int, num_processors: int) -> int:
-    """Side length of the square distance tiles fitting ``memory_budget``.
-
-    Sized so one tile's working set — the resident ``int32`` block plus
-    the ``int64`` intermediates of its build and gather
-    (:data:`TILE_BYTES_PER_CELL` per cell) — stays under the budget:
-    ``side = isqrt(budget / TILE_BYTES_PER_CELL)``, clamped to
-    ``[1, p]``.  A 2 GiB budget yields 8192-rank tiles; even a 1-byte
-    budget degrades gracefully to single-cell tiles rather than failing.
-    """
-    if memory_budget < 1:
-        raise ValueError(f"memory_budget must be >= 1 byte, got {memory_budget}")
-    if num_processors < 1:
-        raise ValueError(f"num_processors must be >= 1, got {num_processors}")
-    side = math.isqrt(memory_budget // TILE_BYTES_PER_CELL)
-    return max(1, min(side, num_processors))
-
-
-def iter_histogram_tiles(
-    histogram: PairHistogram,
-    num_processors: int,
-    tile_side: int,
-) -> Iterator[tuple[tuple[int, int], tuple[int, int], np.ndarray, np.ndarray, np.ndarray]]:
-    """The non-empty tiles of a histogram on a ``tile_side``-square grid.
-
-    Partitions the ``[0, num_processors) x [0, num_processors)`` rank
-    plane into square tiles of side ``tile_side`` (edge tiles are
-    clipped, so ``p`` need not be divisible by the side) and yields
-    ``(rows, cols, src, dst, weights)`` per tile *containing at least
-    one pair*, in row-major tile order.  ``rows``/``cols`` are the
-    half-open global rank ranges of the tile; the pair arrays keep
-    global ranks and, within a tile, the histogram's canonical
-    ``src * p + dst`` ordering — so concatenating the yields is a
-    permutation of the histogram and integer reductions over them are
-    exact.  Empty tiles are never materialised: the scan is
-    ``O(#pairs log #pairs)``, independent of the tile count.
-    """
-    tile_side = int(tile_side)
-    if tile_side < 1:
-        raise ValueError(f"tile_side must be >= 1, got {tile_side}")
-    p = int(num_processors)
-    if histogram.num_processors > p:
-        raise ValueError(
-            f"histogram spans {histogram.num_processors} ranks but the tile "
-            f"grid only covers {p}"
-        )
-    src, dst, weights = histogram.src, histogram.dst, histogram.weights
-    if src.size == 0:
-        return
-    tile_cols = -(-p // tile_side)  # ceil division
-    tile_ids = (src // tile_side) * tile_cols + dst // tile_side
-    # Stable sort keeps the canonical src*p+dst order inside each tile.
-    order = np.argsort(tile_ids, kind="stable")
-    src, dst, weights, tile_ids = src[order], dst[order], weights[order], tile_ids[order]
-    boundaries = np.flatnonzero(np.diff(tile_ids)) + 1
-    starts = np.concatenate([np.zeros(1, dtype=np.int64), boundaries])
-    stops = np.concatenate([boundaries, np.array([tile_ids.size], dtype=np.int64)])
-    for start, stop in zip(starts, stops):
-        tile_row, tile_col = divmod(int(tile_ids[start]), tile_cols)
-        rows = (tile_row * tile_side, min((tile_row + 1) * tile_side, p))
-        cols = (tile_col * tile_side, min((tile_col + 1) * tile_side, p))
-        yield rows, cols, src[start:stop], dst[start:stop], weights[start:stop]
-
-
-def evaluate_tile(
-    topology: Topology,
-    cache: TopologyCache | None,
-    rows: tuple[int, int],
-    cols: tuple[int, int],
-    src: np.ndarray,
-    dst: np.ndarray,
-    weights: np.ndarray,
-) -> tuple[int, int]:
-    """One tile's weighted distance sum: ``(total, tile_bytes)``.
-
-    Served from a cached distance block through the fused
-    :func:`repro.kernels.tile_histogram_dot` once the tile's query
-    volume amortises the block build (repeated trials get there
-    quickly); until then the pairs go straight through the vectorised
-    distance kernel.  Both routes are exact integer arithmetic —
-    identical totals.  ``tile_bytes`` reports the working set
-    (block bytes, or the gather intermediates on the direct route) for
-    the ``acd.tile_bytes_peak`` gauge.
-    """
-    block = (
-        cache.block_for_queries(topology, rows, cols, src.size)
-        if cache is not None
-        else None
-    )
-    if block is not None:
-        total = kernels.tile_histogram_dot(block, src, dst, weights, rows[0], cols[0])
-        return total, int(block.nbytes)
-    distances = topology.distance(src, dst)
-    total = int(distances.astype("int64") @ weights)
-    return total, int(3 * 8 * src.size)  # three int64 intermediates
-
-
-def _tiled_histogram_acd(
-    histogram: PairHistogram,
-    topology: Topology,
-    cache: TopologyCache | None,
-    memory_budget: int,
-) -> ACDResult:
-    """Memory-bounded histogram ACD: per-tile partials, exact reduction."""
-    p = topology.num_processors
-    tile_side = tile_side_for_budget(memory_budget, p)
-    result = ACDResult(0, 0)
-    tiles = 0
-    peak = 0
-    with obs.span("acd.tiled", processors=p, tile_side=tile_side):
-        for rows, cols, src, dst, weights in iter_histogram_tiles(
-            histogram, p, tile_side
-        ):
-            total, tile_bytes = evaluate_tile(
-                topology, cache, rows, cols, src, dst, weights
-            )
-            result = result.merged(ACDResult(total, int(weights.sum())))
-            tiles += 1
-            peak = max(peak, tile_bytes)
-        obs.count("acd.tiles", tiles)
-        obs.gauge("acd.tile_bytes_peak", peak)
-    return result
-
-
 def _resolve_budget(memory_budget: "int | None | str") -> int | None:
     if memory_budget == _DEFAULT_BUDGET:
         return runtime_config().memory_budget
@@ -278,39 +138,35 @@ def _histogram_acd(
     cache: TopologyCache | None,
     memory_budget: int | None,
 ) -> ACDResult:
-    """ACD of a compacted histogram: one distance gather + dot product.
+    """ACD of a compacted histogram: distance gather + integer dot product.
 
-    When the topology's distance matrix is (or becomes) cache-resident,
-    the gather + integer dot is fused through
-    :func:`repro.kernels.histogram_dot`, which serves it from the
-    compiled backend when one is selected; otherwise the distances come
-    from the vectorised distance kernel.  All paths are bit-identical.
+    Within the budget the distances come from the cached matrix when it
+    is (or becomes) resident, else from the vectorised distance kernel
+    in one call.  Over the budget no matrix is built and the kernel runs
+    over chunks of at most ``memory_budget // 32`` pairs.  All paths are
+    bit-identical.
     """
-    if histogram.num_processors > topology.num_processors:
+    p = topology.num_processors
+    if histogram.num_processors > p:
         raise ValueError(
             f"histogram spans {histogram.num_processors} ranks but the "
-            f"topology only has {topology.num_processors}"
+            f"topology only has {p}"
         )
     if histogram.num_pairs == 0:
         return ACDResult(0, 0)
-    _check_ranks(histogram.src, histogram.dst, topology.num_processors)
-    if (
-        memory_budget is not None
-        and dense_matrix_bytes(topology.num_processors) > memory_budget
-    ):
-        return _tiled_histogram_acd(histogram, topology, cache, memory_budget)
-    matrix = (
-        cache.matrix_for_queries(topology, histogram.src.size)
-        if cache is not None
-        else None
-    )
-    if matrix is not None:
-        total = kernels.histogram_dot(
-            matrix, histogram.src, histogram.dst, histogram.weights
-        )
-    else:
-        distances = topology.distance(histogram.src, histogram.dst)
-        total = int(distances.astype("int64") @ histogram.weights)
+    src, dst, weights = histogram.src, histogram.dst, histogram.weights
+    _check_ranks(src, dst, p)
+    step = src.size
+    matrix = None
+    if memory_budget is not None and dense_matrix_bytes(p) > memory_budget:
+        step = max(1, memory_budget // _CHUNK_BYTES_PER_PAIR)
+    elif cache is not None:
+        matrix = cache.matrix_for_queries(topology, src.size)
+    total = 0
+    for lo in range(0, src.size, step):
+        a, b = src[lo : lo + step], dst[lo : lo + step]
+        distances = topology.distance(a, b) if matrix is None else matrix[a, b]
+        total += int(distances.astype(np.int64) @ weights[lo : lo + step])
     return ACDResult(total_distance=total, count=histogram.total_weight)
 
 
@@ -337,9 +193,10 @@ def compute_acd(
     ``memory_budget`` bounds the evaluation's working set in bytes
     (default: :attr:`RuntimeConfig.memory_budget`; ``None`` for
     unbounded).  When the dense ``p x p`` distance matrix would exceed
-    it, histogram evaluations switch to the tiled path and streamed
-    evaluations stop materialising the matrix — results are identical
-    for any budget.
+    it, no matrix is materialised: histogram evaluations run the
+    distance kernel over budget-sized chunks of pairs and streamed
+    evaluations bypass the cache — results are identical for any
+    budget.
     """
     if cache == _DEFAULT_CACHE:
         cache = get_topology_cache()

@@ -27,7 +27,6 @@ Environment variable         Field                    Default
 ``REPRO_UNIT_TIMEOUT``       ``unit_timeout``         ``None`` (no limit)
 ``REPRO_STRICT``             ``strict``               ``False``
 ``REPRO_FAULTS``             ``faults``               ``None`` (no faults)
-``REPRO_KERNEL_BACKEND``     ``kernel_backend``       ``"auto"``
 ``REPRO_MEMORY_BUDGET``      ``memory_budget``        ``None`` (unbounded)
 ===========================  =======================  ==================
 
@@ -56,7 +55,6 @@ __all__ = [
     "parse_bytes",
     "parse_store_url",
     "ENV_VARS",
-    "KERNEL_BACKENDS",
     "STORE_SCHEMES",
 ]
 
@@ -76,12 +74,8 @@ ENV_VARS: dict[str, str] = {
     "REPRO_UNIT_TIMEOUT": "unit_timeout",
     "REPRO_STRICT": "strict",
     "REPRO_FAULTS": "faults",
-    "REPRO_KERNEL_BACKEND": "kernel_backend",
     "REPRO_MEMORY_BUDGET": "memory_budget",
 }
-
-#: Accepted values of ``kernel_backend`` (see :mod:`repro.kernels`).
-KERNEL_BACKENDS = ("auto", "numpy", "native")
 
 #: Store-URL schemes accepted by :func:`parse_store_url` (see
 #: :mod:`repro.experiments.backends` for the backends they select).
@@ -205,19 +199,12 @@ class RuntimeConfig:
     faults:
         Deterministic fault-injection plan (see :mod:`repro.faults`),
         e.g. ``"crash:unit=3; raise:rate=0.1:seed=7; hang:unit=5"``.
-    kernel_backend:
-        Compute-kernel backend for the CSR expansion and histogram-ACD
-        inner loops (see :mod:`repro.kernels`): ``"auto"`` uses the
-        compiled module when built, ``"numpy"`` forces the pure-NumPy
-        path, ``"native"`` requests the compiled path (degrading to
-        NumPy with a warning when it is unavailable).  Results are
-        bit-identical under every setting.
     memory_budget:
         Peak working-set bytes one metric evaluation may allocate
-        (``REPRO_MEMORY_BUDGET``, e.g. ``"2GiB"``).  When set, the
-        histogram-ACD path switches from the dense ``p x p`` distance
-        matrix to memory-bounded tiles whenever the matrix would exceed
-        the budget (see :mod:`repro.metrics.acd`), and
+        (``REPRO_MEMORY_BUDGET``, e.g. ``"2GiB"``).  When set and the
+        dense ``p x p`` distance matrix would exceed it, ACD builds no
+        matrix and evaluates histograms through the distance kernel in
+        chunks of ``budget // 32`` pairs (see :mod:`repro.metrics.acd`);
         :meth:`~repro.fmm.events.CommunicationEvents.compact` sizes its
         dense scratch table from the same budget.  ``None`` leaves the
         dense paths unbounded (the previous behaviour).  Results are
@@ -237,7 +224,6 @@ class RuntimeConfig:
     unit_timeout: float | None = None
     strict: bool = False
     faults: str | None = None
-    kernel_backend: str = "auto"
     memory_budget: int | None = None
 
     def __post_init__(self) -> None:
@@ -246,11 +232,6 @@ class RuntimeConfig:
         if self.memory_budget is not None and self.memory_budget < 1:
             raise ValueError(
                 f"memory_budget must be >= 1 byte or None, got {self.memory_budget}"
-            )
-        if self.kernel_backend not in KERNEL_BACKENDS:
-            raise ValueError(
-                f"kernel_backend must be one of {KERNEL_BACKENDS}, "
-                f"got {self.kernel_backend!r}"
             )
         if self.jobs is not None and self.jobs < 1:
             raise ValueError(f"jobs must be >= 1 or None, got {self.jobs}")
@@ -306,7 +287,6 @@ class RuntimeConfig:
             unit_timeout=unit_timeout,
             strict=env.get("REPRO_STRICT", "").strip().lower() in _TRUTHY,
             faults=faults_raw or None,
-            kernel_backend=env.get("REPRO_KERNEL_BACKEND", "").strip().lower() or "auto",
             memory_budget=memory_budget,
         )
 

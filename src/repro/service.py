@@ -56,6 +56,7 @@ import asyncio
 import json
 import sys
 from dataclasses import dataclass, replace
+from http import HTTPStatus
 from typing import Any, Mapping, Sequence
 
 from repro import obs
@@ -505,6 +506,8 @@ async def _read_request(reader: asyncio.StreamReader) -> tuple[str, str, bytes]:
                 length = int(value.strip())
             except ValueError:
                 raise RequestError("bad Content-Length") from None
+            if length < 0:
+                raise RequestError("bad Content-Length")
     if length > _MAX_BODY:
         raise RequestError("request body too large")
     body = await reader.readexactly(length) if length else b""
@@ -512,10 +515,9 @@ async def _read_request(reader: asyncio.StreamReader) -> tuple[str, str, bytes]:
 
 
 def _http_response(status: int, payload: dict[str, Any]) -> bytes:
-    reasons = {200: "OK", 400: "Bad Request", 404: "Not Found", 405: "Method Not Allowed"}
     body = (json.dumps(payload, sort_keys=True) + "\n").encode()
     head = (
-        f"HTTP/1.1 {status} {reasons.get(status, 'OK')}\r\n"
+        f"HTTP/1.1 {status} {HTTPStatus(status).phrase}\r\n"
         f"Content-Type: application/json\r\n"
         f"Content-Length: {len(body)}\r\n"
         f"Connection: close\r\n\r\n"

@@ -13,13 +13,6 @@ those invariants per call:
   torus costs 64 MiB).  Matrices are only materialised when they fit
   the byte budget *and* the topology has seen enough query volume to
   amortise the build (see :meth:`TopologyCache.distances`).
-* **distance blocks** — rectangular ``rows x cols`` sub-blocks of the
-  distance matrix (:meth:`TopologyCache.distance_block`), the unit of
-  the memory-budgeted tiled ACD path
-  (:mod:`repro.metrics.acd`).  Blocks live in their own byte-budgeted
-  LRU section so a million-rank topology — whose full matrix could
-  never be materialised — still serves its *hot tiles* from memory
-  across repeated trials.
 * **routing/lookup tables** — arbitrary named per-topology arrays
   (rank grids, switch-id tables, curve index grids...) memoised through
   the generic :meth:`TopologyCache.table` hook.
@@ -89,8 +82,6 @@ class _LruSection:
 
     ``label`` names the section in the :mod:`repro.obs` counter stream
     (``<label>_hits`` / ``<label>_misses`` / ``<label>_evictions``).
-    ``max_bytes`` optionally bounds the summed ``nbytes`` of the resident
-    values (entries are evicted LRU-first until back under budget);
     ``on_evict(key, value)`` fires for every eviction so side tables
     keyed alongside the section can be pruned in lockstep.
     """
@@ -99,14 +90,11 @@ class _LruSection:
         self,
         max_entries: int,
         label: str = "topo_cache.section",
-        max_bytes: int | None = None,
         on_evict: Callable[[Hashable, object], None] | None = None,
     ):
         self.max_entries = max_entries
-        self.max_bytes = max_bytes
         self.on_evict = on_evict
         self.data: OrderedDict = OrderedDict()
-        self.bytes = 0
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -124,20 +112,11 @@ class _LruSection:
         obs.count(self._miss_key)
         return None
 
-    def _over_budget(self) -> bool:
-        if len(self.data) > self.max_entries:
-            return True
-        return self.max_bytes is not None and self.bytes > self.max_bytes
-
     def put(self, key, value) -> None:
-        if key in self.data:
-            self.bytes -= int(getattr(self.data[key], "nbytes", 0))
         self.data[key] = value
         self.data.move_to_end(key)
-        self.bytes += int(getattr(value, "nbytes", 0))
-        while self.data and self._over_budget():
+        while len(self.data) > self.max_entries:
             evicted_key, evicted = self.data.popitem(last=False)
-            self.bytes -= int(getattr(evicted, "nbytes", 0))
             self.evictions += 1
             obs.count(self._evict_key)
             if self.on_evict is not None:
@@ -145,7 +124,6 @@ class _LruSection:
 
     def clear(self) -> None:
         self.data.clear()
-        self.bytes = 0
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -163,52 +141,26 @@ class TopologyCache:
         Upper bound on the size of any single distance matrix; larger
         topologies transparently fall back to the vectorised distance
         kernel.  ``0`` disables matrix caching.
-    max_block_bytes:
-        Byte budget of the *block* section — the summed size of every
-        resident distance block (the tiles of the memory-budgeted ACD
-        path).  Defaults to ``max_matrix_bytes``; ``0`` disables block
-        caching (blocks are still buildable, just never retained).
     """
 
     _MATRIX_DTYPE = np.int32  # diameters comfortably fit 32 bits
 
-    #: Entry cap of the block section: tiles are small relative to
-    #: matrices, so many more of them stay resident per topology.
-    _BLOCK_ENTRY_FACTOR = 32
-
-    def __init__(
-        self,
-        max_entries: int = 32,
-        max_matrix_bytes: int = 256 << 20,
-        max_block_bytes: int | None = None,
-    ):
+    def __init__(self, max_entries: int = 32, max_matrix_bytes: int = 256 << 20):
         if max_entries < 1:
             raise ValueError(f"max_entries must be >= 1, got {max_entries}")
         if max_matrix_bytes < 0:
             raise ValueError(f"max_matrix_bytes must be >= 0, got {max_matrix_bytes}")
-        if max_block_bytes is not None and max_block_bytes < 0:
-            raise ValueError(f"max_block_bytes must be >= 0, got {max_block_bytes}")
         self.max_matrix_bytes = int(max_matrix_bytes)
-        self.max_block_bytes = (
-            self.max_matrix_bytes if max_block_bytes is None else int(max_block_bytes)
-        )
         self.max_entries = int(max_entries)
         self._lock = threading.RLock()
         self._query_volume: dict[tuple, int] = {}
-        self._block_volume: dict[tuple, int] = {}
         # Volume accounting is pruned in lockstep with evictions, so a
-        # long campaign over many topologies cannot grow the side dicts
+        # long campaign over many topologies cannot grow the side dict
         # unboundedly and a re-inserted entry never inherits stale volume.
         self._matrices = _LruSection(
             max_entries,
             label="topo_cache.matrix",
             on_evict=lambda key, _v: self._query_volume.pop(key, None),
-        )
-        self._blocks = _LruSection(
-            max_entries * self._BLOCK_ENTRY_FACTOR,
-            label="topo_cache.block",
-            max_bytes=self.max_block_bytes,
-            on_evict=lambda key, _v: self._block_volume.pop(key, None),
         )
         self._tables = _LruSection(max_entries, label="topo_cache.table")
 
@@ -217,27 +169,6 @@ class TopologyCache:
         """Whether a full distance matrix of ``topology`` is within budget."""
         p = topology.num_processors
         return p * p * np.dtype(self._MATRIX_DTYPE).itemsize <= self.max_matrix_bytes
-
-    def distance_matrix(self, topology: Topology) -> IntArray:
-        """The full ``p x p`` hop-distance matrix (built and cached).
-
-        Raises :class:`ValueError` when the matrix exceeds
-        ``max_matrix_bytes``; use :meth:`distances` for the transparent
-        fallback path.
-        """
-        if not self.matrix_fits(topology):
-            raise ValueError(
-                f"distance matrix of {topology!r} exceeds the "
-                f"{self.max_matrix_bytes}-byte cache budget"
-            )
-        key = topology_cache_key(topology)
-        with self._lock:
-            cached = self._matrices.get(key)
-            if cached is not None:
-                return cached
-            matrix = self._build_matrix(topology)
-            self._matrices.put(key, matrix)
-            return matrix
 
     def _build_matrix(self, topology: Topology) -> IntArray:
         p = topology.num_processors
@@ -262,9 +193,8 @@ class TopologyCache:
         build pays for itself).  Callers fall back to
         :meth:`Topology.distance` in that case — results are identical
         either way.  This is the primitive behind :meth:`distances`;
-        fused-kernel consumers (the histogram ACD) call it directly so
-        matrix builds happen under exactly the same conditions on every
-        backend.
+        the histogram ACD calls it directly and gathers from the matrix
+        itself.
         """
         if not self.matrix_fits(topology):
             return None
@@ -295,100 +225,6 @@ class TopologyCache:
             return topology.distance(a, b)
         return matrix[a, b].astype(np.int64)
 
-    # -- distance blocks (tiles of the matrix) -------------------------------
-    def _check_range(self, bounds: tuple[int, int], p: int, axis: str) -> tuple[int, int]:
-        lo, hi = int(bounds[0]), int(bounds[1])
-        if not 0 <= lo < hi <= p:
-            raise ValueError(
-                f"{axis} range must satisfy 0 <= lo < hi <= {p}, got ({lo}, {hi})"
-            )
-        return lo, hi
-
-    def _build_block(
-        self, topology: Topology, rows: tuple[int, int], cols: tuple[int, int]
-    ) -> IntArray:
-        (r0, r1), (c0, c1) = rows, cols
-        height, width = r1 - r0, c1 - c0
-        with obs.span("topo.block_build", rows=height, cols=width):
-            block = np.empty((height, width), dtype=self._MATRIX_DTYPE)
-            row_ids = np.arange(r0, r1, dtype=np.int64)
-            col_ids = np.arange(c0, c1, dtype=np.int64)
-            # Row-slabbed like the full matrix build, so the int64
-            # intermediates stay bounded (~16 MiB) whatever the block size.
-            slab = max(1, (2 << 20) // max(width, 1))
-            for lo in range(0, height, slab):
-                hi = min(lo + slab, height)
-                block[lo:hi] = topology.distance(row_ids[lo:hi, None], col_ids[None, :])
-            obs.count("topo_cache.block_bytes_built", block.nbytes)
-        return block
-
-    def block_fits(self, rows: tuple[int, int], cols: tuple[int, int]) -> bool:
-        """Whether a ``rows x cols`` block is within the block byte budget."""
-        cells = (rows[1] - rows[0]) * (cols[1] - cols[0])
-        return cells * np.dtype(self._MATRIX_DTYPE).itemsize <= self.max_block_bytes
-
-    def distance_block(
-        self, topology: Topology, rows: tuple[int, int], cols: tuple[int, int]
-    ) -> IntArray:
-        """The hop-distance block ``matrix[rows[0]:rows[1], cols[0]:cols[1]]``.
-
-        Built directly from the vectorised distance kernel — the full
-        ``p x p`` matrix is never materialised — and cached in the
-        byte-budgeted block section when it fits
-        (``topo_cache.block_*`` counters).  Over-budget blocks are
-        still returned, just not retained.
-        """
-        p = topology.num_processors
-        rows = self._check_range(rows, p, "row")
-        cols = self._check_range(cols, p, "col")
-        if not self.block_fits(rows, cols):
-            return self._build_block(topology, rows, cols)
-        key = (topology_cache_key(topology), rows, cols)
-        with self._lock:
-            cached = self._blocks.get(key)
-            if cached is not None:
-                return cached
-            block = self._build_block(topology, rows, cols)
-            self._blocks.put(key, block)
-            return block
-
-    def block_for_queries(
-        self,
-        topology: Topology,
-        rows: tuple[int, int],
-        cols: tuple[int, int],
-        volume: int,
-    ) -> IntArray | None:
-        """The cached block, accounting ``volume`` queries toward its build.
-
-        The block-level sibling of :meth:`matrix_for_queries`: returns
-        ``None`` while the block is not worth materialising — it exceeds
-        the block byte budget, or the cumulative query volume for this
-        exact tile has not yet reached one row's worth of lookups
-        (``rows[1] - rows[0]`` elements, the point where the
-        ``O(rows x cols)`` build pays for itself).  Callers fall back to
-        the vectorised distance kernel on the raw pairs in that case —
-        results are identical either way.  Repeated trials accumulate
-        volume, so hot tiles become cache-resident.
-        """
-        p = topology.num_processors
-        rows = self._check_range(rows, p, "row")
-        cols = self._check_range(cols, p, "col")
-        if not self.block_fits(rows, cols):
-            return None
-        key = (topology_cache_key(topology), rows, cols)
-        with self._lock:
-            block = self._blocks.get(key)
-            if block is None:
-                total = self._block_volume.get(key, 0) + int(volume)
-                self._block_volume[key] = total
-                if total < rows[1] - rows[0]:
-                    return None
-                block = self._build_block(topology, rows, cols)
-                self._blocks.put(key, block)
-                self._block_volume.pop(key, None)
-        return block
-
     # -- generic per-topology tables ----------------------------------------
     def table(self, key: Hashable, builder: Callable[[], object]) -> object:
         """Memoise ``builder()`` under ``key`` (LRU, thread-safe).
@@ -413,10 +249,9 @@ class TopologyCache:
     def clear(self) -> None:
         """Drop every cached entry and reset the statistics."""
         with self._lock:
-            for section in (self._matrices, self._blocks, self._tables):
+            for section in (self._matrices, self._tables):
                 section.clear()
             self._query_volume.clear()
-            self._block_volume.clear()
 
     @property
     def stats(self) -> dict[str, int]:
@@ -427,11 +262,6 @@ class TopologyCache:
                 "matrix_misses": self._matrices.misses,
                 "matrix_evictions": self._matrices.evictions,
                 "matrices": len(self._matrices.data),
-                "block_hits": self._blocks.hits,
-                "block_misses": self._blocks.misses,
-                "block_evictions": self._blocks.evictions,
-                "blocks": len(self._blocks.data),
-                "block_bytes": self._blocks.bytes,
                 "table_hits": self._tables.hits,
                 "table_misses": self._tables.misses,
                 "table_evictions": self._tables.evictions,

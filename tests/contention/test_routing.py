@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.contention import route
+from repro.contention.routing import _csr_layout
 from repro.topology import make_topology
 from repro.topology.registry import PAPER_TOPOLOGIES
 
@@ -114,3 +115,18 @@ def test_simulator_runs_on_3d_networks():
         result = simulate_exchange(ev, topo)
         assert result.makespan >= max(result.congestion, result.dilation) * 0
         assert result.num_messages <= 200
+
+
+class TestCsrLayout:
+    """The CSR expansion every batched router builds its per-hop gathers on."""
+
+    def test_reference_semantics(self):
+        offsets, owner, within = _csr_layout(np.array([2, 0, 3], dtype=np.int64))
+        assert offsets.tolist() == [0, 2, 2, 5]
+        assert owner.tolist() == [0, 0, 2, 2, 2]
+        assert within.tolist() == [0, 1, 0, 1, 2]
+
+    def test_empty(self):
+        offsets, owner, within = _csr_layout(np.array([], dtype=np.int64))
+        assert offsets.tolist() == [0]
+        assert owner.size == 0 and within.size == 0

@@ -40,7 +40,6 @@ class TestFromEnv:
             "REPRO_UNIT_TIMEOUT": "2.5",
             "REPRO_STRICT": "1",
             "REPRO_FAULTS": "raise:rate=0.1:seed=7",
-            "REPRO_KERNEL_BACKEND": "Native ",
             "REPRO_MEMORY_BUDGET": "2GiB",
         }
         assert set(env) == set(ENV_VARS)
@@ -58,7 +57,6 @@ class TestFromEnv:
         assert config.unit_timeout == 2.5
         assert config.strict is True
         assert config.faults == "raise:rate=0.1:seed=7"
-        assert config.kernel_backend == "native"  # normalised (strip + lower)
         assert config.memory_budget == 2 << 30
 
     def test_fault_tolerance_defaults(self):
@@ -92,12 +90,6 @@ class TestFromEnv:
     def test_invalid_int_raises(self):
         with pytest.raises(ValueError, match="REPRO_CACHE_ENTRIES"):
             RuntimeConfig.from_env({"REPRO_CACHE_ENTRIES": "lots"})
-
-    def test_kernel_backend_defaults_and_validation(self):
-        assert RuntimeConfig.from_env({}).kernel_backend == "auto"
-        assert RuntimeConfig.from_env({"REPRO_KERNEL_BACKEND": ""}).kernel_backend == "auto"
-        with pytest.raises(ValueError, match="kernel_backend"):
-            RuntimeConfig(kernel_backend="fortran")
 
     def test_memory_budget_parsing(self):
         from repro.runtime import parse_bytes

@@ -425,3 +425,65 @@ class TestServiceCli:
         open_store(url).put("k", 1)
         assert experiments_main(["store", "stats", "--store", url, "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["entries"] == 1
+
+
+async def _raw_exchange(port: int, request: bytes) -> bytes:
+    """Send raw request bytes; return everything read until the server closes."""
+    reader, writer = await asyncio.open_connection("127.0.0.1", port)
+    writer.write(request)
+    await writer.drain()
+    response = await asyncio.wait_for(reader.read(), timeout=10)
+    writer.close()
+    await writer.wait_closed()
+    return response
+
+
+class TestHttpBoundary:
+    @staticmethod
+    async def _serving(service):
+        ready = asyncio.Event()
+        server = asyncio.create_task(serve(service, port=0, ready=ready))
+        await ready.wait()
+        return server
+
+    @staticmethod
+    async def _shutdown(service, server):
+        await asyncio.to_thread(_request_json, service.port, "/shutdown", {})
+        await asyncio.wait_for(server, timeout=10)
+
+    def test_negative_content_length_is_refused(self):
+        async def scenario():
+            errors = []
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: errors.append(context)
+            )
+            service = QueryService(None)
+            server = await self._serving(service)
+            response = await _raw_exchange(
+                service.port, b"POST /recommend HTTP/1.1\r\nContent-Length: -1\r\n\r\n"
+            )
+            assert response == b""  # a clean close, no response
+            assert (await asyncio.to_thread(_request_json, service.port, "/healthz")) == {
+                "status": "ok"
+            }
+            await self._shutdown(service, server)
+            assert errors == []  # nothing escaped the connection handler
+
+        run(scenario())
+
+    def test_failing_dispatch_gets_the_500_reason_phrase(self, monkeypatch):
+        async def scenario():
+            service = QueryService(None)
+
+            def broken_stats():
+                raise RuntimeError("boom")
+
+            monkeypatch.setattr(service, "stats", broken_stats)
+            server = await self._serving(service)
+            response = await _raw_exchange(service.port, b"GET /stats HTTP/1.1\r\n\r\n")
+            status_line = response.split(b"\r\n", 1)[0]
+            assert status_line == b"HTTP/1.1 500 Internal Server Error"
+            assert b"RuntimeError: boom" in response
+            await self._shutdown(service, server)
+
+        run(scenario())

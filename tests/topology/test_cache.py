@@ -56,7 +56,7 @@ class TestDistanceMatrix:
     def test_matrix_matches_distance_kernel(self, name):
         topo = make_topology(name, 64)
         cache = TopologyCache()
-        matrix = cache.distance_matrix(topo)
+        matrix = cache.matrix_for_queries(topo, 64)
         assert matrix.dtype == np.int32
         ranks = np.arange(64, dtype=np.int64)
         expected = topo.distance(ranks[:, None], ranks[None, :])
@@ -65,15 +65,15 @@ class TestDistanceMatrix:
     def test_matrix_is_cached(self):
         topo = make_topology("ring", 32)
         cache = TopologyCache()
-        assert cache.distance_matrix(topo) is cache.distance_matrix(topo)
+        assert cache.matrix_for_queries(topo, 32) is cache.matrix_for_queries(topo, 1)
         assert cache.stats["matrix_hits"] == 1
 
     def test_over_budget_matrix_refused(self):
         topo = make_topology("ring", 64)
         cache = TopologyCache(max_matrix_bytes=100)
         assert not cache.matrix_fits(topo)
-        with pytest.raises(ValueError, match="budget"):
-            cache.distance_matrix(topo)
+        assert cache.matrix_for_queries(topo, 10**9) is None
+        assert cache.stats["matrices"] == 0
 
     @given(seed=st.integers(0, 2**31 - 1))
     @settings(max_examples=25, deadline=None)
@@ -107,86 +107,6 @@ class TestDistanceMatrix:
         np.testing.assert_array_equal(cache.distances(topo, a, a[::-1]),
                                       topo.distance(a, a[::-1]))
         assert cache.stats["matrices"] == 0
-
-
-class TestDistanceBlocks:
-    @pytest.mark.parametrize("name", ALL_TOPOLOGIES)
-    def test_block_matches_matrix_slice(self, name):
-        topo = make_topology(name, 64)
-        cache = TopologyCache()
-        matrix = cache.distance_matrix(topo)
-        for rows, cols in [((0, 64), (0, 64)), ((5, 30), (40, 64)), ((63, 64), (0, 1))]:
-            block = cache.distance_block(topo, rows, cols)
-            np.testing.assert_array_equal(
-                block, matrix[rows[0] : rows[1], cols[0] : cols[1]]
-            )
-            assert block.dtype == np.int32
-
-    def test_block_is_cached(self):
-        topo = make_topology("torus", 64)
-        cache = TopologyCache()
-        a = cache.distance_block(topo, (0, 16), (16, 32))
-        b = cache.distance_block(topo, (0, 16), (16, 32))
-        assert a is b
-        assert cache.stats["block_hits"] == 1
-        assert cache.stats["blocks"] == 1
-        assert cache.stats["block_bytes"] == a.nbytes
-
-    def test_invalid_ranges_rejected(self):
-        topo = make_topology("ring", 16)
-        cache = TopologyCache()
-        for rows in [(-1, 4), (4, 4), (8, 4), (0, 17)]:
-            with pytest.raises(ValueError, match="range"):
-                cache.distance_block(topo, rows, (0, 4))
-            with pytest.raises(ValueError, match="range"):
-                cache.distance_block(topo, (0, 4), rows)
-
-    def test_over_budget_block_built_but_not_retained(self):
-        topo = make_topology("ring", 64)
-        cache = TopologyCache(max_block_bytes=32)
-        block = cache.distance_block(topo, (0, 8), (0, 8))  # 256 bytes > 32
-        ranks = np.arange(8, dtype=np.int64)
-        np.testing.assert_array_equal(block, topo.distance(ranks[:, None], ranks[None, :]))
-        assert cache.stats["blocks"] == 0
-
-    def test_byte_budget_evicts_lru_blocks(self):
-        topo = make_topology("ring", 64)
-        # each 8x8 int32 block is 256 bytes; budget holds two of them
-        cache = TopologyCache(max_block_bytes=512)
-        for lo in range(0, 32, 8):
-            cache.distance_block(topo, (lo, lo + 8), (lo, lo + 8))
-        stats = cache.stats
-        assert stats["blocks"] == 2
-        assert stats["block_bytes"] <= 512
-        assert stats["block_evictions"] == 2
-
-    def test_block_for_queries_volume_gate(self):
-        topo = make_topology("torus", 64)
-        cache = TopologyCache()
-        rows, cols = (0, 16), (0, 16)
-        # below one row's worth of lookups: not built yet
-        assert cache.block_for_queries(topo, rows, cols, 4) is None
-        assert cache.stats["blocks"] == 0
-        # cumulative volume crosses the gate: built and cached
-        block = cache.block_for_queries(topo, rows, cols, 12)
-        assert block is not None
-        assert cache.stats["blocks"] == 1
-        # further queries are hits
-        assert cache.block_for_queries(topo, rows, cols, 1) is block
-
-    def test_block_for_queries_over_budget_returns_none(self):
-        topo = make_topology("ring", 64)
-        cache = TopologyCache(max_block_bytes=0)
-        assert cache.block_for_queries(topo, (0, 8), (0, 8), 10**9) is None
-
-    def test_block_volume_pruned_on_eviction(self):
-        """Evicted blocks do not leave stale volume accounting behind."""
-        topo = make_topology("ring", 64)
-        cache = TopologyCache(max_block_bytes=256)  # holds exactly one 8x8 block
-        cache.block_for_queries(topo, (0, 8), (0, 8), 8)  # built
-        cache.block_for_queries(topo, (8, 16), (0, 8), 8)  # built, evicts first
-        assert cache.stats["block_evictions"] == 1
-        assert not cache._block_volume  # accounting pruned in lockstep
 
 
 class TestQueryVolumeAccounting:
@@ -224,11 +144,11 @@ class TestLruAndTables:
     def test_lru_eviction(self):
         cache = TopologyCache(max_entries=2)
         for p in (16, 32, 64):
-            cache.distance_matrix(make_topology("ring", p))
+            cache.matrix_for_queries(make_topology("ring", p), p)
         assert cache.stats["matrices"] == 2
         # the oldest (16) was evicted, so rebuilding it is a miss
         misses = cache.stats["matrix_misses"]
-        cache.distance_matrix(make_topology("ring", 16))
+        cache.matrix_for_queries(make_topology("ring", 16), 16)
         assert cache.stats["matrix_misses"] == misses + 1
 
     def test_table_memoises_builder(self):
@@ -248,28 +168,20 @@ class TestLruAndTables:
 
     def test_clear_resets_everything(self):
         cache = TopologyCache()
-        cache.distance_matrix(make_topology("ring", 16))
-        cache.distance_block(make_topology("ring", 16), (0, 4), (0, 4))
+        cache.matrix_for_queries(make_topology("ring", 16), 16)
+        cache.matrix_for_queries(make_topology("ring", 32), 1)  # volume pending
         cache.table("x", lambda: 1)
         cache.clear()
         stats = cache.stats
         assert stats["matrices"] == 0 and stats["tables"] == 0
-        assert stats["blocks"] == 0 and stats["block_bytes"] == 0
         assert stats["matrix_hits"] == 0 and stats["table_misses"] == 0
-        assert not cache._query_volume and not cache._block_volume
+        assert not cache._query_volume
 
     def test_invalid_construction_rejected(self):
         with pytest.raises(ValueError):
             TopologyCache(max_entries=0)
         with pytest.raises(ValueError):
             TopologyCache(max_matrix_bytes=-1)
-        with pytest.raises(ValueError):
-            TopologyCache(max_block_bytes=-1)
-
-    def test_block_budget_defaults_to_matrix_budget(self):
-        cache = TopologyCache(max_matrix_bytes=1234)
-        assert cache.max_block_bytes == 1234
-        assert TopologyCache(max_matrix_bytes=1234, max_block_bytes=99).max_block_bytes == 99
 
 
 class TestThreadSafety:
