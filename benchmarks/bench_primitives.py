@@ -35,7 +35,7 @@ def primitive_matrix(num_processors: int) -> dict[str, dict[str, float]]:
         matrix[prim] = {}
         for curve in PAPER_CURVES:
             net = make_topology("torus", num_processors, processor_curve=curve)
-            matrix[prim][curve] = compute_acd(ev, net).acd
+            matrix[prim][curve] = compute_acd(ev, net).mean
     return matrix
 
 

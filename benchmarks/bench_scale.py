@@ -113,7 +113,7 @@ def test_scale_ladder(report):
                 "chunked_s": round(chunked_s, 4),
                 "streaming_s": round(stream_s, 4),
                 "dense_s": None if dense_s is None else round(dense_s, 4),
-                "acd": chunked.acd,
+                "acd": chunked.mean,
                 "peak_rss_kib": _peak_rss_kib(),
             }
         )
@@ -149,7 +149,7 @@ def test_scale_smoke_2e16(report):
                 "p": p,
                 "budget_bytes": budget,
                 "chunked_s": round(chunked_s, 4),
-                "acd": chunked.acd,
+                "acd": chunked.mean,
                 "peak_rss_kib": _peak_rss_kib(),
             },
             indent=2,

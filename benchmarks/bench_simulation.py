@@ -40,7 +40,7 @@ def simulation_table(num_particles: int, order: int, num_processors: int):
         rows.append(
             {
                 "curve": curve,
-                "acd": compute_acd(events, net).acd,
+                "acd": compute_acd(events, net).mean,
                 "makespan": sim.makespan,
                 "mean_latency": sim.mean_latency,
                 "congestion": sim.congestion,

@@ -48,7 +48,7 @@ def main() -> None:
         network = repro.make_topology("torus", NUM_PROCESSORS, processor_curve=curve)
         assignment = partition_particles(particles, curve, NUM_PROCESSORS)
         events = nfi_events(assignment)
-        acd = compute_acd(events, network).acd
+        acd = compute_acd(events, network).mean
         loads = link_loads(events, network)
         imbalance = loads.max_load / loads.mean_load if loads.mean_load else 0.0
         results[curve] = loads

@@ -64,17 +64,17 @@ def main() -> None:
     print("-" * len(header))
     for label, report in ranked[:6]:
         total = report.total
-        print(f"{label:>22} {total.total_distance:>16} {total.acd:>8.3f}")
+        print(f"{label:>22} {total.total:>16} {total.mean:>8.3f}")
     print("   ...")
     for label, report in ranked[-2:]:
         total = report.total
-        print(f"{label:>22} {total.total_distance:>16} {total.acd:>8.3f}")
+        print(f"{label:>22} {total.total:>16} {total.mean:>8.3f}")
 
     best_label, best_report = ranked[0]
     print(f"\nper-phase breakdown on {best_label}:")
     for phase, result in best_report.phases.items():
         reps = best_report.repeats[phase]
-        print(f"  {phase:<20s} x{reps}: ACD {result.acd:7.3f} ({result.count} msgs)")
+        print(f"  {phase:<20s} x{reps}: ACD {result.mean:7.3f} ({result.count} msgs)")
 
     # sanity-check the winner under contention for the dominant phase
     best_net = candidates[best_label]

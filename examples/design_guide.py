@@ -36,8 +36,8 @@ def evaluate_candidate(topology_name: str, curve: str, particles) -> dict:
     # Between iterations the application allreduces the error norm and
     # allgathers boundary metadata (one of each per timestep).
     ranks = np.arange(NUM_PROCESSORS)
-    allreduce_acd = compute_acd(allreduce(ranks), network).acd
-    allgather_acd = compute_acd(allgather_ring(ranks), network).acd
+    allreduce_acd = compute_acd(allreduce(ranks), network).mean
+    allgather_acd = compute_acd(allgather_ring(ranks), network).mean
 
     return {
         "topology": topology_name,

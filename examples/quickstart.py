@@ -38,7 +38,7 @@ def main() -> None:
     print(f"far-field  ACD : {report.ffi_acd:8.4f}  ({report.ffi['combined'].count} communications)")
     for phase in ("interpolation", "anterpolation", "interaction"):
         result = report.ffi[phase]
-        print(f"  {phase:<14s}: {result.acd:8.4f}  ({result.count} communications)")
+        print(f"  {phase:<14s}: {result.mean:8.4f}  ({result.count} communications)")
 
     # Contrast with the naive row-major baseline the paper warns about.
     baseline_net = repro.make_topology("torus", 1024, processor_curve="rowmajor")

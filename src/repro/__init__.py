@@ -54,7 +54,7 @@ from repro.fmm import (
     nfi_events,
 )
 from repro.metrics import (
-    ACDResult,
+    MetricValue,
     acd_breakdown,
     anns,
     average_clusters,
@@ -122,7 +122,7 @@ __all__ = [
     "nfi_events",
     "ffi_events",
     # metrics
-    "ACDResult",
+    "MetricValue",
     "compute_acd",
     "acd_breakdown",
     "anns",

@@ -13,10 +13,10 @@ processor-order} configurations by the predicted per-timestep cost.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from repro.fmm.events import CommunicationEvents, PairHistogram
-from repro.metrics.acd import _DEFAULT_CACHE, ACDResult, compute_acd
+from repro.metrics.acd import _DEFAULT_CACHE, compute_acd
 from repro.metrics.base import MetricValue
 from repro.metrics.registry import METRICS, get_metric
 from repro.topology.base import Topology
@@ -52,27 +52,19 @@ class ApplicationPhase:
 class ApplicationReport:
     """Per-phase and pooled objective value of an application on one network.
 
-    ``phases`` holds :class:`~repro.metrics.acd.ACDResult` values for
-    the default ``"acd"`` objective and
-    :class:`~repro.metrics.base.MetricValue` aggregates for any other
-    communication metric; both pool with exact integer arithmetic.
+    ``phases`` holds one :class:`~repro.metrics.base.MetricValue` per
+    phase (for the default ``"acd"`` objective its ``total`` is the hop
+    distance moved and its ``mean`` the phase's ACD); values pool with
+    exact integer arithmetic.
     """
 
-    phases: dict[str, ACDResult] | dict[str, MetricValue]
+    phases: dict[str, MetricValue]
     repeats: dict[str, int]
     objective: str = "acd"
 
     @property
-    def total(self) -> ACDResult | MetricValue:
+    def total(self) -> MetricValue:
         """All phases pooled, each weighted by its repeat count."""
-        if self.objective == "acd":
-            pooled = ACDResult(0, 0)
-            for name, result in self.phases.items():
-                r = self.repeats[name]
-                pooled = pooled.merged(
-                    ACDResult(result.total_distance * r, result.count * r)
-                )
-            return pooled
         value = MetricValue(0, 0)
         for name, result in self.phases.items():
             value = value.merged(result.scaled(self.repeats[name]))
@@ -81,14 +73,7 @@ class ApplicationReport:
     @property
     def cost_per_timestep(self) -> int:
         """Total objective cost per timestep — the quantity to minimise."""
-        total = self.total
-        return total.total_distance if self.objective == "acd" else total.total
-
-    @property
-    def total_distance_per_timestep(self) -> int:
-        """Total hop-weight moved per timestep (the ACD spelling of
-        :attr:`cost_per_timestep`)."""
-        return self.cost_per_timestep
+        return self.total.total
 
 
 class ApplicationModel:
@@ -151,7 +136,7 @@ class ApplicationModel:
                     f"objective {objective!r} is a {metric.kind} metric; "
                     "application models need a communication metric"
                 )
-        results: dict[str, Any] = {}
+        results: dict[str, MetricValue] = {}
         repeats: dict[str, int] = {}
         for name, events, reps in self._phases:
             ev = events(topology) if callable(events) else events

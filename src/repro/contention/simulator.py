@@ -24,27 +24,23 @@ that each traverse the full route, matching the weighted-ACD semantics
 where a weighted event counts ``w`` times.  Zero-weight events send
 nothing.
 
-Two engines share identical scheduling semantics and produce identical
-results (cross-checked by the test-suite):
+The engine schedules links per cycle with NumPy over the CSR arrays of
+:func:`repro.contention.routing.route_batch`.  All routes are
+precomputed in one vectorised pass; per-link FIFO queues are intrusive
+linked lists in flat arrays; the set of busy links is maintained
+incrementally, so a cycle costs ``O(active links)`` NumPy work
+regardless of how many links the exchange ever touched.  The
+test-suite cross-checks it against a pure-Python oracle
+(``tests/contention/oracle.py``).
 
-* ``engine="batched"`` (default) — per-cycle NumPy link scheduling over
-  the CSR arrays of :func:`repro.contention.routing.route_batch`.  All
-  routes are precomputed in one vectorised pass; per-link FIFO queues
-  are intrusive linked lists in flat arrays; the set of busy links is
-  maintained incrementally, so a cycle costs ``O(active links)`` NumPy
-  work regardless of how many links the exchange ever touched.
-* ``engine="reference"`` — the retained pure-Python slow path (deque
-  per link), kept as the behavioural oracle for the batched engine.
-
-Scheduling discipline (both engines): every busy link forwards the
-message at its queue head each cycle; messages arriving at a queue in
-the same cycle enqueue in ascending order of the link they crossed,
-and the initial injection enqueues in event order.
+Scheduling discipline: every busy link forwards the message at its
+queue head each cycle; messages arriving at a queue in the same cycle
+enqueue in ascending order of the link they crossed, and the initial
+injection enqueues in event order.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,8 +53,6 @@ from repro.topology.base import Topology
 from repro.topology.cache import TopologyCache
 
 __all__ = ["SimulationResult", "simulate_exchange"]
-
-_ENGINES = ("batched", "reference")
 
 
 @dataclass(frozen=True)
@@ -189,73 +183,17 @@ def _drain_batched(batch: RoutedBatch, max_cycles: int) -> IntArray:
     return arrivals
 
 
-def _drain_reference(batch: RoutedBatch, max_cycles: int) -> IntArray:
-    """Pure-Python oracle engine over the same routed link arrays.
-
-    Maintains the busy-link set incrementally (links join when their
-    queue becomes non-empty and leave when it drains) instead of
-    rescanning every queue ever touched, and applies the same
-    deterministic enqueue order as the batched engine.
-    """
-    links = batch.links.tolist()
-    offsets = batch.offsets.tolist()
-    num_messages = batch.num_messages
-    pos = list(offsets[:-1])
-    queues: dict[int, deque[int]] = {}
-    active: set[int] = set()
-    for msg in range(num_messages):
-        link = links[pos[msg]]
-        queue = queues.get(link)
-        if queue is None:
-            queues[link] = queue = deque()
-            active.add(link)
-        queue.append(msg)
-    arrivals = np.zeros(num_messages, dtype=np.int64)
-    delivered = 0
-    cycle = 0
-    while delivered < num_messages:
-        cycle += 1
-        if cycle > max_cycles:
-            raise _overflow(max_cycles, num_messages - delivered)
-        moved: list[int] = []
-        drained: list[int] = []
-        for link in sorted(active):
-            queue = queues[link]
-            moved.append(queue.popleft())
-            if not queue:
-                drained.append(link)
-        active.difference_update(drained)
-        for msg in moved:
-            pos[msg] += 1
-            if pos[msg] == offsets[msg + 1]:
-                arrivals[msg] = cycle
-                delivered += 1
-            else:
-                link = links[pos[msg]]
-                queue = queues.get(link)
-                if queue is None:
-                    queues[link] = queue = deque()
-                if not queue:
-                    active.add(link)
-                queue.append(msg)
-    return arrivals
-
-
 def simulate_exchange(
     events: CommunicationEvents,
     topology: Topology,
     *,
     max_cycles: int = 10_000_000,
-    engine: str = "batched",
     cache: TopologyCache | None = None,
 ) -> SimulationResult:
     """Simulate the delivery of all events injected at cycle 0.
 
     Parameters
     ----------
-    engine:
-        ``"batched"`` (vectorised, default) or ``"reference"`` (the
-        retained pure-Python slow path); both produce identical results.
     cache:
         Topology cache for the batch router's lookup tables (shared
         default when omitted).
@@ -264,9 +202,7 @@ def simulate_exchange(
     ``max_cycles`` (a guard against pathological inputs; FIFO queueing
     over finite traffic always terminates well before this).
     """
-    if engine not in _ENGINES:
-        raise ValueError(f"unknown engine {engine!r}; use one of {_ENGINES}")
-    with obs.span("simulate", engine=engine, processors=topology.num_processors):
+    with obs.span("simulate", processors=topology.num_processors):
         with obs.span("simulate.route"):
             src, dst = _network_pairs(events)
             if not src.size:
@@ -275,8 +211,7 @@ def simulate_exchange(
         obs.count("sim.messages", batch.num_messages)
         obs.count("sim.hops", batch.total_hops)
         with obs.span("simulate.drain"):
-            drain = _drain_batched if engine == "batched" else _drain_reference
-            arrivals = drain(batch, max_cycles)
+            arrivals = _drain_batched(batch, max_cycles)
         obs.count("sim.cycles", int(arrivals.max()))
     return SimulationResult(
         makespan=int(arrivals.max()),

@@ -9,7 +9,8 @@ surface is:
   studies by name (``run_study("fig6")``);
 * :class:`~repro.runtime.RuntimeConfig` /
   :func:`~repro.runtime.configure` — every runtime knob (scale, jobs,
-  store, cache budgets, trace/metrics sinks) in one declarative object;
+  store, memory budget, fault policy, trace/metrics sinks) in one
+  declarative object;
 * :class:`~repro.obs.RunManifest` — the per-run observability document.
 
 Custom parameters go through the exported ``plan_*`` builders:
@@ -103,8 +104,6 @@ from repro.experiments.runner import (
     UnitFailedError,
     UnitTimeoutError,
     execute_units,
-    map_units,
-    run_case,
 )
 from repro.experiments.scaling_study import (
     ScalingStudyResult,
@@ -172,12 +171,10 @@ __all__ = [
     "SCALES",
     "active_scale",
     "CaseResult",
-    "run_case",
     "ExecutionPolicy",
     "UnitFailedError",
     "UnitTimeoutError",
     "execute_units",
-    "map_units",
     "FaultPlan",
     "InjectedFault",
     "parse_faults",

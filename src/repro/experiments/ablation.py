@@ -113,7 +113,7 @@ def ffi_granularity_ablation(
         assignment = model.assign(particles)
         ffi = acd_breakdown(model.far_field_events(assignment).as_mapping(), net)
         nfi = compute_acd(model.near_field_events(assignment), net)
-        rows.append(AblationRow(f"granularity={granularity}", nfi.acd, ffi["combined"].acd))
+        rows.append(AblationRow(f"granularity={granularity}", nfi.mean, ffi["combined"].mean))
     return rows
 
 
@@ -147,7 +147,7 @@ def interpolation_reading_ablation(
         "quadrant log-tree (§IV 5-6)": quadrant_tree_events(assignment),
     }
     return [
-        AblationRow(name, 0.0, compute_acd(events, net).acd)
+        AblationRow(name, 0.0, compute_acd(events, net).mean)
         for name, events in variants.items()
     ]
 

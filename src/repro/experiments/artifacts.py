@@ -20,29 +20,19 @@ This module makes the generated events a first-class, reusable
   byte-budgeted LRU holding finished artifacts — the event-side sibling
   of :class:`~repro.topology.cache.TopologyCache`.  Workers and repeated
   studies reuse artifacts instead of regenerating events.
-* :func:`get_trial_artifact` is the memoised entry point the runners
-  use; :func:`evaluate_artifact` turns an artifact into the classic
-  ``(nfi, ffi)`` trial result for a concrete network.
+* :func:`get_trial_artifact` is the memoised entry point the campaign
+  engine uses; :func:`evaluate_artifact` turns an artifact into the
+  classic ``(nfi, ffi)`` trial result for a concrete network.
 
 Because every ACD sum on a histogram stays in integer arithmetic, the
 artifact path is bit-identical to streaming over freshly generated
 events.
 
-Knobs
------
-The default cache sizes come from the runtime config
-(:func:`repro.runtime.runtime_config`), read once at import time:
-
-* ``event_cache_bytes`` (``REPRO_EVENT_CACHE_BYTES``) — total byte
-  budget across resident artifacts (default 256 MiB; ``0`` disables
-  artifact caching).
-* ``event_cache_entries`` (``REPRO_EVENT_CACHE_ENTRIES``) — max
-  resident artifacts (default 256).
-
-Call :func:`set_event_cache` (or :func:`repro.runtime.configure`) to
-swap in a differently-sized cache.  Hits, misses, evictions and the
-generated-vs-reused event balance are reported to :mod:`repro.obs`
-(``event_cache.*`` / ``events.*`` counters).
+The process-wide cache holds up to 256 artifacts and 256 MiB of
+histograms; call :func:`set_event_cache` to swap in a differently-sized
+one.  Hits, misses, evictions and the generated-vs-reused event balance
+are reported to :mod:`repro.obs` (``event_cache.*`` / ``events.*``
+counters).
 """
 
 from __future__ import annotations
@@ -61,9 +51,9 @@ from repro.experiments.config import FmmCase
 from repro.fmm.events import PairHistogram
 from repro.fmm.ffi import ffi_events
 from repro.fmm.nfi import nfi_events
-from repro.metrics.acd import ACDResult, acd_breakdown, compute_acd
+from repro.metrics.acd import acd_breakdown, compute_acd
+from repro.metrics.base import MetricValue
 from repro.partition.assignment import partition_particles
-from repro.runtime import runtime_config
 from repro.topology.base import Topology
 
 __all__ = [
@@ -119,11 +109,11 @@ def build_trial_artifact(
 ) -> TrialArtifact:
     """Generate and compact one trial's events (instance fields only).
 
-    Draws the trial's particles from ``child_seed`` exactly as the
-    serial runner always has, partitions them along the particle-order
-    SFC, and compacts the requested event streams into histograms over
-    the case's rank space.  Only :data:`INSTANCE_FIELDS` of ``case`` are
-    read — the network fields never influence the result.
+    Draws the trial's particles from ``child_seed``, partitions them
+    along the particle-order SFC, and compacts the requested event
+    streams into histograms over the case's rank space.  Only
+    :data:`INSTANCE_FIELDS` of ``case`` are read — the network fields
+    never influence the result.
     """
     obs.count("events.generated")
     distribution = get_distribution(case.distribution)
@@ -150,26 +140,26 @@ def evaluate_artifact(
     artifact: TrialArtifact,
     topology: Topology,
     parts: tuple[str, ...] = ("nfi", "ffi"),
-) -> tuple[ACDResult, dict[str, ACDResult]]:
+) -> tuple[MetricValue, dict[str, MetricValue]]:
     """ACD of a shared artifact on one concrete network.
 
     Returns the classic trial result shape ``(nfi, {phase: acd})``;
-    skipped parts report empty :class:`ACDResult` aggregates, matching
-    the streaming runner.  Integer arithmetic throughout keeps the
-    output bit-identical to evaluating the raw events.
+    skipped parts report empty :class:`MetricValue` aggregates.  Integer
+    arithmetic throughout keeps the output bit-identical to evaluating
+    the raw events.
     """
     if "nfi" in parts:
         if artifact.nfi is None:
             raise ValueError("artifact does not carry near-field events")
         nfi = compute_acd(artifact.nfi, topology)
     else:
-        nfi = ACDResult(0, 0)
+        nfi = MetricValue(0, 0)
     if "ffi" in parts:
         if artifact.ffi is None:
             raise ValueError("artifact does not carry far-field events")
         ffi = acd_breakdown(artifact.ffi, topology)
     else:
-        ffi = {"combined": ACDResult(0, 0)}
+        ffi = {"combined": MetricValue(0, 0)}
     return nfi, ffi
 
 
@@ -296,12 +286,7 @@ class EventArtifactCache:
             }
 
 
-_runtime = runtime_config()
-_default_cache = EventArtifactCache(
-    max_bytes=_runtime.event_cache_bytes,
-    max_entries=_runtime.event_cache_entries,
-)
-del _runtime
+_default_cache = EventArtifactCache()
 _default_lock = threading.Lock()
 
 

@@ -18,10 +18,10 @@ events for every network.  :func:`run_campaign` instead groups cases by
 trial's events exactly once per group (compacted to pair histograms via
 :mod:`repro.experiments.artifacts`), and broadcasts the artifact across
 every network in the group.  With ``jobs > 1`` the fan-out unit is one
-``(instance, trial)`` pair.  Every trial uses the same spawned child
-seed as :func:`~repro.experiments.runner.run_case`, and histogram ACD
-evaluation is integer-exact, so grouped campaigns are bit-identical to
-per-case execution at any job count.
+``(instance, trial)`` pair.  Every case sees the same spawned child
+seeds whatever it is grouped with, and histogram ACD evaluation is
+integer-exact, so grouped campaigns are bit-identical to running each
+case on its own at any job count.
 """
 
 from __future__ import annotations
@@ -167,8 +167,8 @@ def iter_campaign(
     groups = case_groups(cases)
     obs.count("campaign.cases", len(cases))
     obs.count("campaign.instance_groups", len(groups))
-    # run_case spawns the same child seeds for every case, so one spawn
-    # serves the whole campaign and sharing preserves bit-identity.
+    # Every case draws trial t from the same spawned child seed, so one
+    # spawn serves the whole campaign and sharing preserves bit-identity.
     seeds = spawn_seeds(seed, trials)
     group_indices = list(groups.values())
     units = [
@@ -207,8 +207,9 @@ def run_campaign(
     artifact is broadcast across the group's networks.  With ``jobs >
     1`` the ``(instance, trial)`` units fan out over a persistent
     process pool.  Results are returned in input order and are
-    bit-identical to ``[run_case(c, ...) for c in cases]`` at any job
-    count (same spawned child seeds, integer-exact histogram ACD).
+    bit-identical to ``[run_campaign([c], ...)[0] for c in cases]`` at
+    any job count (same spawned child seeds, integer-exact histogram
+    ACD).
     """
     cases = list(cases)
     results: list[CaseResult | None] = [None] * len(cases)

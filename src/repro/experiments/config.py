@@ -7,8 +7,8 @@ workload sizes.  ``PAPER`` uses the exact published parameters;
 suite runs in seconds (used by tests and default benchmark runs; export
 ``REPRO_SCALE=paper`` to regenerate the full-size numbers).
 
-The *how* of a run — worker processes, store directory, cache budgets,
-trace/metrics sinks — is the :class:`RuntimeConfig` (re-exported here
+The *how* of a run — worker processes, store directory, memory budget,
+fault policy, trace/metrics sinks — is the :class:`RuntimeConfig` (re-exported here
 from :mod:`repro.runtime`, its import-light home): the ``REPRO_*``
 environment variables are its documented defaults, parsed in exactly
 one place, and :func:`configure` installs overrides either permanently

@@ -1,17 +1,19 @@
-"""Seeded, trial-averaged execution of FMM experiment cases.
+"""Trial averaging, job resolution and network memoisation for FMM cases.
 
 "The results presented here are averages over multiple independent
-trials for each set of parameters" (§VI); :func:`run_case` reproduces
-that discipline with NumPy's spawned seed sequences so any single trial
-can be re-derived from the experiment seed.
+trials for each set of parameters" (§VI).  Trials run through the
+grouped campaign engine (:func:`repro.experiments.campaign.run_campaign`),
+which draws every trial from NumPy's spawned seed sequences so any
+single trial can be re-derived from the experiment seed; this module
+holds the pieces it shares with the studies: :func:`aggregate_trials`
+pools per-trial aggregates into a :class:`CaseResult`,
+:func:`case_topology` memoises each case's network per process, and
+:func:`resolve_jobs` picks the worker count.
 
-Because every trial draws its particles from an independent child seed,
-trials are embarrassingly parallel: ``run_case(..., jobs=4)`` fans them
-out over a ``concurrent.futures`` process pool and produces bit-for-bit
-the same averages as the serial path.  ``jobs`` defaults to the
-process-wide setting installed by :func:`set_default_jobs` (the CLI's
-``--jobs`` flag) or the ``REPRO_JOBS`` environment variable, falling
-back to serial execution.
+``jobs`` defaults to the process-wide setting installed by
+:func:`set_default_jobs` (the CLI's ``--jobs`` flag) or the
+``REPRO_JOBS`` environment variable, falling back to serial execution.
+Results are bit-identical for any value.
 """
 
 from __future__ import annotations
@@ -20,8 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro._typing import SeedLike
-from repro.experiments.artifacts import evaluate_artifact, get_trial_artifact
 from repro.experiments.config import FmmCase
 from repro.experiments.executor import (  # noqa: F401  (re-exported API)
     ExecutionPolicy,
@@ -31,20 +31,16 @@ from repro.experiments.executor import (  # noqa: F401  (re-exported API)
     shared_executor,
     shutdown_shared_executor,
 )
-from repro.metrics.acd import ACDResult
+from repro.metrics.base import MetricValue
 from repro.runtime import runtime_config
 from repro.topology.base import Topology
 from repro.topology.registry import make_topology
-from repro.util.rng import spawn_seeds
 
 __all__ = [
     "CaseResult",
-    "run_case",
-    "run_trial",
     "aggregate_trials",
     "set_default_jobs",
     "resolve_jobs",
-    "map_units",
     "execute_units",
     "ExecutionPolicy",
     "UnitFailedError",
@@ -56,7 +52,7 @@ __all__ = [
 _default_jobs: int | None = None
 
 #: A trial's raw output: the NFI aggregate and the per-phase FFI aggregates.
-TrialResult = tuple[ACDResult, dict[str, ACDResult]]
+TrialResult = tuple[MetricValue, dict[str, MetricValue]]
 
 
 def set_default_jobs(jobs: int | None) -> None:
@@ -82,39 +78,6 @@ def resolve_jobs(jobs: int | None) -> int:
         return _default_jobs
     configured = runtime_config().jobs  # REPRO_JOBS parsed in repro.runtime
     return configured if configured is not None else 1
-
-
-def map_units(fn, arglists, jobs: int, policy: ExecutionPolicy | None = None):
-    """Apply ``fn`` across argument tuples, serially or over the pool.
-
-    The ordered fan-out primitive of the experiments stack: the campaign
-    engine maps ``(instance, trial)`` units and the study driver maps
-    compute units through the same code path.  With ``jobs > 1`` (and
-    more than one unit) the calls run on the persistent process pool —
-    ``fn`` and its arguments must be picklable — otherwise in-process.
-    Results are yielded in input order as they complete, so callers can
-    act on each one (e.g. persist it) before the batch finishes.
-
-    Execution is delegated to
-    :func:`~repro.experiments.executor.execute_units`, so the full
-    fault-tolerance policy applies — per-unit retries, wall-clock
-    timeouts, broken-pool rebuilds and serial degradation — and
-    worker-side counters merge into the parent recorder so aggregated
-    totals agree with a serial run's at any job count.  Neither
-    observability nor fault recovery ever changes the results
-    themselves.  Callers that can handle out-of-order completion (the
-    streaming campaign engine) should use :func:`execute_units`
-    directly — it flushes finished units even when an earlier-indexed
-    unit is still running or has failed.
-    """
-    arglists = list(arglists)
-    buffered: dict[int, object] = {}
-    next_index = 0
-    for i, result in execute_units(fn, arglists, jobs, policy=policy):
-        buffered[i] = result
-        while next_index in buffered:
-            yield buffered.pop(next_index)
-            next_index += 1
 
 
 @dataclass(frozen=True)
@@ -151,40 +114,16 @@ class CaseResult:
 _worker_topologies: dict[tuple, Topology] = {}
 
 
-def case_topology(case: FmmCase, topology: Topology | None = None) -> Topology:
+def case_topology(case: FmmCase) -> Topology:
     """The case's network, memoised per process by evaluation key."""
     key = case.evaluation_key()
-    cached = _worker_topologies.get(key)
-    if cached is not None:
-        return cached
+    topology = _worker_topologies.get(key)
     if topology is None:
         topology = make_topology(
             case.topology, case.num_processors, processor_curve=case.processor_curve
         )
-    _worker_topologies[key] = topology
+        _worker_topologies[key] = topology
     return topology
-
-
-def run_trial(
-    case: FmmCase,
-    child_seed: SeedLike,
-    parts: tuple[str, ...] = ("nfi", "ffi"),
-    topology: Topology | None = None,
-) -> TrialResult:
-    """One independent trial: draw particles, assign, evaluate ACDs.
-
-    Event generation goes through the shared artifact layer
-    (:mod:`repro.experiments.artifacts`): the trial's events are
-    compacted into pair histograms — reused across every case that
-    shares the instance key — and the ACD falls out of one gather + dot
-    product against the (cached) distance matrix.  Integer arithmetic
-    end to end keeps the result bit-identical to streaming the raw
-    events.  Top-level (picklable) so process pools can execute it; the
-    topology is memoised per worker process.
-    """
-    topology = case_topology(case, topology)
-    artifact = get_trial_artifact(case, child_seed, parts)
-    return evaluate_artifact(artifact, topology, parts)
 
 
 def aggregate_trials(case: FmmCase, outputs: list[TrialResult]) -> CaseResult:
@@ -194,12 +133,12 @@ def aggregate_trials(case: FmmCase, outputs: list[TrialResult]) -> CaseResult:
     nfi_counts, ffi_counts = [], []
     phase_sums: dict[str, float] = {}
     for nfi, ffi in outputs:
-        nfi_vals.append(nfi.acd)
-        ffi_vals.append(ffi["combined"].acd)
+        nfi_vals.append(nfi.mean)
+        ffi_vals.append(ffi["combined"].mean)
         nfi_counts.append(nfi.count)
         ffi_counts.append(ffi["combined"].count)
         for phase, result in ffi.items():
-            phase_sums[phase] = phase_sums.get(phase, 0.0) + result.acd
+            phase_sums[phase] = phase_sums.get(phase, 0.0) + result.mean
     return CaseResult(
         case=case,
         trials=trials,
@@ -217,40 +156,3 @@ def _check_parts(parts: tuple[str, ...]) -> None:
     unknown = set(parts) - {"nfi", "ffi"}
     if unknown or not parts:
         raise ValueError(f"parts must be a non-empty subset of ('nfi', 'ffi'), got {parts}")
-
-
-def run_case(
-    case: FmmCase,
-    trials: int = 3,
-    seed: SeedLike = 0,
-    topology: Topology | None = None,
-    parts: tuple[str, ...] = ("nfi", "ffi"),
-    jobs: int | None = None,
-) -> CaseResult:
-    """Evaluate one case over independent particle draws.
-
-    Parameters
-    ----------
-    topology:
-        Optional pre-built network matching the case (topologies are
-        deterministic, so studies sweeping particle parameters can build
-        one network and share it across cases).  Serial execution uses
-        it directly; worker processes rebuild an identical network.
-    parts:
-        Which interaction models to evaluate; skipping one halves the
-        work when only a single paper table is being regenerated.
-    jobs:
-        Worker processes for the trial fan-out (default: the setting
-        from :func:`set_default_jobs` / ``REPRO_JOBS``, else serial).
-        Results are identical for any value.
-    """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    _check_parts(parts)
-    seeds = spawn_seeds(seed, trials)
-    jobs = resolve_jobs(jobs)
-    if jobs > 1 and trials > 1:
-        outputs = list(map_units(run_trial, [(case, child, parts) for child in seeds], jobs))
-    else:
-        outputs = [run_trial(case, child, parts, topology) for child in seeds]
-    return aggregate_trials(case, outputs)

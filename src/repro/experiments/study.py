@@ -3,15 +3,15 @@
 PR 2 made :func:`~repro.experiments.campaign.run_campaign` fast —
 shared per-``(instance, trial)`` event artifacts, pair-histogram ACD,
 ``--jobs`` fan-out — but each study module still hand-rolled a serial
-``run_case`` loop and saw none of it.  Here a study stops owning an
+per-case loop and saw none of it.  Here a study stops owning an
 execution loop and instead *declares* itself:
 
 * a :class:`StudyPlan` — the case grid (``expand_grid``-style) as a
   tuple of units, each :class:`FmmUnit` (one
   :class:`~repro.experiments.config.FmmCase`, executed through the
   grouped campaign engine) or :class:`ComputeUnit` (a picklable
-  function call, for deterministic metrics like the ANNS that never
-  touch ``run_case``);
+  function call, for deterministic metrics like the ANNS that draw no
+  FMM trials);
 * a ``collect(plan, outputs) -> result`` reducer assembling the
   study's result dataclass from per-unit outputs.
 
@@ -119,7 +119,7 @@ class ComputeUnit:
     """One grid point computed by a plain (picklable) function call.
 
     Deterministic metric studies — the ANNS sweeps, clustering, the 3D
-    validation — have no ``run_case`` trials to share, but still fan
+    validation — have no FMM trials to share, but still fan
     out over ``--jobs`` and persist per-unit in the result store.
     ``fn`` must be a top-level function and should return JSON-native
     values (or store-codec-registered dataclasses) so results survive

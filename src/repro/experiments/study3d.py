@@ -6,7 +6,7 @@ evaluation in three dimensions: same-SFC particle/processor pairings of
 the four (3D) curves on the 3D torus, octree and hypercube networks,
 plus a 3D ANNS sweep — and checks whether the 2D conclusions carry over.
 
-The 3D model does not go through the 2D ``run_case`` path, so both
+The 3D model does not go through the 2D campaign engine, so both
 studies declare :class:`~repro.experiments.study.ComputeUnit` grids —
 one unit per ``(topology, curve)`` pairing (resp. ``(curve, order)``
 ANNS point) — which the shared driver fans out over ``--jobs`` and

@@ -17,7 +17,8 @@ from repro.distributions.base import Particles
 from repro.fmm.events import CommunicationEvents
 from repro.fmm.ffi import FfiEvents, ffi_events
 from repro.fmm.nfi import nfi_events
-from repro.metrics.acd import ACDResult, acd_breakdown, compute_acd
+from repro.metrics.acd import acd_breakdown, compute_acd
+from repro.metrics.base import MetricValue
 from repro.partition.assignment import Assignment, partition_particles
 from repro.topology.base import Topology
 
@@ -37,18 +38,18 @@ class FmmReport:
         ``"anterpolation"``, ``"interaction"`` and ``"combined"``.
     """
 
-    nfi: ACDResult
-    ffi: dict[str, ACDResult]
+    nfi: MetricValue
+    ffi: dict[str, MetricValue]
 
     @property
     def nfi_acd(self) -> float:
         """Near-field Average Communicated Distance."""
-        return self.nfi.acd
+        return self.nfi.mean
 
     @property
     def ffi_acd(self) -> float:
         """Far-field ACD pooled over all three phases (§IV step 10)."""
-        return self.ffi["combined"].acd
+        return self.ffi["combined"].mean
 
 
 class FmmCommunicationModel:

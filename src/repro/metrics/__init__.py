@@ -2,7 +2,7 @@
 plus the pluggable objective registry (energy, data volume, partition
 surface-to-volume)."""
 
-from repro.metrics.acd import ACDResult, acd_breakdown, compute_acd
+from repro.metrics.acd import acd_breakdown, compute_acd
 from repro.metrics.anns import (
     StretchResult,
     analytic_anns_gray,
@@ -27,7 +27,6 @@ from repro.metrics.stretch import all_pairs_stretch, max_nearest_neighbor_stretc
 from repro.metrics.surface_volume import SurfaceVolumeMetric, partition_surfaces
 
 __all__ = [
-    "ACDResult",
     "compute_acd",
     "acd_breakdown",
     "StretchResult",

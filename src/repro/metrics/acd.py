@@ -10,8 +10,11 @@
 :func:`compute_acd` evaluates this for any
 :class:`~repro.fmm.events.CommunicationEvents` against any
 :class:`~repro.topology.Topology`, streaming over event chunks so the
-peak memory stays bounded by the largest chunk.  The model is
-contention-unaware by construction (§IV step 6 note).
+peak memory stays bounded by the largest chunk.  The result is the
+common :class:`~repro.metrics.base.MetricValue` aggregate: ``total`` is
+the (weighted) hop-distance sum, ``count`` the event weight and
+``mean`` the ACD itself.  The model is contention-unaware by
+construction (§IV step 6 note).
 
 Distance lookups go through the shared
 :class:`~repro.topology.cache.TopologyCache`, so trial-averaged studies
@@ -43,19 +46,18 @@ bit-identical to the dense and streaming paths for any budget.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping, Union
 
 import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.fmm.events import CommunicationEvents, PairHistogram
+from repro.metrics.base import MetricValue
 from repro.runtime import runtime_config
 from repro.topology.base import Topology
 from repro.topology.cache import TopologyCache, get_topology_cache
 
 __all__ = [
-    "ACDResult",
     "compute_acd",
     "acd_breakdown",
     "dense_matrix_bytes",
@@ -72,37 +74,6 @@ _DEFAULT_BUDGET = "config"  # sentinel: read RuntimeConfig.memory_budget at call
 #: the vectorised distance kernels allocate.  A 2 GiB budget evaluates
 #: chunks of 64 Mi pairs.
 _CHUNK_BYTES_PER_PAIR = 32
-
-
-@dataclass(frozen=True)
-class ACDResult:
-    """Aggregate of one ACD evaluation.
-
-    Attributes
-    ----------
-    total_distance:
-        Weighted sum of hop distances over all events (§IV's "output the
-        sum"); with unit weights this is the plain hop-count sum.
-    count:
-        Total event weight (= number of events when unweighted).
-    """
-
-    total_distance: int
-    count: int
-
-    @property
-    def acd(self) -> float:
-        """The Average Communicated Distance (0.0 for an empty event set)."""
-        return self.total_distance / self.count if self.count else 0.0
-
-    def merged(self, other: "ACDResult") -> "ACDResult":
-        """Pool two evaluations (same topology) into one aggregate."""
-        return ACDResult(
-            self.total_distance + other.total_distance, self.count + other.count
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"ACDResult(acd={self.acd:.4f}, count={self.count})"
 
 
 def _check_ranks(src, dst, num_processors: int) -> None:
@@ -137,7 +108,7 @@ def _histogram_acd(
     topology: Topology,
     cache: TopologyCache | None,
     memory_budget: int | None,
-) -> ACDResult:
+) -> MetricValue:
     """ACD of a compacted histogram: distance gather + integer dot product.
 
     Within the budget the distances come from the cached matrix when it
@@ -153,7 +124,7 @@ def _histogram_acd(
             f"topology only has {p}"
         )
     if histogram.num_pairs == 0:
-        return ACDResult(0, 0)
+        return MetricValue(0, 0)
     src, dst, weights = histogram.src, histogram.dst, histogram.weights
     _check_ranks(src, dst, p)
     step = src.size
@@ -167,7 +138,7 @@ def _histogram_acd(
         a, b = src[lo : lo + step], dst[lo : lo + step]
         distances = topology.distance(a, b) if matrix is None else matrix[a, b]
         total += int(distances.astype(np.int64) @ weights[lo : lo + step])
-    return ACDResult(total_distance=total, count=histogram.total_weight)
+    return MetricValue(total=total, count=histogram.total_weight)
 
 
 def compute_acd(
@@ -176,12 +147,13 @@ def compute_acd(
     *,
     cache: TopologyCache | None | str = _DEFAULT_CACHE,
     memory_budget: "int | None | str" = _DEFAULT_BUDGET,
-) -> ACDResult:
+) -> MetricValue:
     """Evaluate the ACD of an event multiset on a topology.
 
     Weighted events contribute ``weight * distance`` to the total and
-    ``weight`` to the count, so the result is the average distance per
-    unit of data volume; unweighted events behave as weight 1.
+    ``weight`` to the count, so the ``mean`` of the returned
+    :class:`MetricValue` is the average distance per unit of data
+    volume; unweighted events behave as weight 1.
 
     ``events`` may be raw :class:`CommunicationEvents` (streamed chunk
     by chunk) or a :class:`PairHistogram` (one gather + dot product on
@@ -229,7 +201,7 @@ def compute_acd(
         else:
             total += int((distances * weights).sum())
             count += int(weights.sum())
-    return ACDResult(total_distance=total, count=count)
+    return MetricValue(total=total, count=count)
 
 
 def acd_breakdown(
@@ -238,7 +210,7 @@ def acd_breakdown(
     *,
     cache: TopologyCache | None | str = _DEFAULT_CACHE,
     memory_budget: "int | None | str" = _DEFAULT_BUDGET,
-) -> dict[str, ACDResult]:
+) -> dict[str, MetricValue]:
     """Per-phase ACD plus a pooled ``"combined"`` entry.
 
     Used for the far-field model where interpolation, anterpolation and
@@ -259,8 +231,8 @@ def acd_breakdown(
             'phase name "combined" is reserved for the pooled ACD entry; '
             "rename the phase before calling acd_breakdown"
         )
-    out: dict[str, ACDResult] = {}
-    combined = ACDResult(0, 0)
+    out: dict[str, MetricValue] = {}
+    combined = MetricValue(0, 0)
     for name, events in phases.items():
         result = compute_acd(events, topology, cache=cache, memory_budget=memory_budget)
         out[name] = result

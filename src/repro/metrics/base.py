@@ -38,9 +38,9 @@ class MetricValue:
 
     ``total`` is the metric's summed cost (hop-weighted distance, energy
     units, bytes, ...) and ``count`` the event weight it covers; the
-    ``mean`` is cost per unit of communication.  Mirrors
-    :class:`~repro.metrics.acd.ACDResult` so pooling semantics carry
-    over unchanged.
+    ``mean`` is cost per unit of communication — for the ACD
+    (:func:`~repro.metrics.acd.compute_acd`), the Average Communicated
+    Distance itself.
     """
 
     total: int

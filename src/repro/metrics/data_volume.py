@@ -49,6 +49,6 @@ class DataVolumeMetric(CommunicationMetric):
         )
         remote = acd.count - local
         return MetricValue(
-            total=self.bytes_per_unit * (acd.total_distance + 2 * remote + local),
+            total=self.bytes_per_unit * (acd.total + 2 * remote + local),
             count=acd.count,
         )

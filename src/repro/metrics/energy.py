@@ -51,6 +51,6 @@ class EnergyMetric(CommunicationMetric):
         # linear form.
         acd = compute_acd(histogram, topology)
         return MetricValue(
-            total=self.hop_cost * acd.total_distance + self.message_cost * acd.count,
+            total=self.hop_cost * acd.total + self.message_cost * acd.count,
             count=acd.count,
         )

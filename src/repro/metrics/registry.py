@@ -34,8 +34,7 @@ class AcdMetric(CommunicationMetric):
     name = "acd"
 
     def evaluate(self, histogram, topology) -> MetricValue:
-        result = compute_acd(histogram, topology)
-        return MetricValue(total=result.total_distance, count=result.count)
+        return compute_acd(histogram, topology)
 
 
 METRICS: Registry[Metric] = Registry("metric")

@@ -68,7 +68,7 @@ def _study_entries(recorder: Recorder) -> dict[str, dict[str, Any]]:
 
 
 def _worker_stats(recorder: Recorder) -> dict[str, Any]:
-    """Pool utilisation from the fan-out counters (see ``map_units``)."""
+    """Pool utilisation from the fan-out counters (see ``execute_units``)."""
     counters, gauges = recorder.counters, recorder.gauges
     busy = float(counters.get("pool.busy_s", 0.0)) + float(counters.get("units.busy_s", 0.0))
     wall = float(counters.get("pool.wall_s", 0.0))

@@ -27,7 +27,7 @@ Worker processes never share a recorder with the parent (no shared
 memory); the runner captures each unit's counters in the worker with
 :func:`record_unit` and merges them into the parent recorder through
 the normal result plumbing (see
-:func:`repro.experiments.runner.map_units`).
+:func:`repro.experiments.executor.execute_units`).
 """
 
 from __future__ import annotations

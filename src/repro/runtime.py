@@ -1,15 +1,13 @@
 """One place for every runtime knob: the :class:`RuntimeConfig`.
 
-The experiments stack grew seven ``REPRO_*`` environment variables, each
-parsed ad hoc where it was consumed (jobs in the runner, the store
-directory in the store, cache budgets at two different import sites).
-This module is now the single parser: every env var is a *documented
-default* for one :class:`RuntimeConfig` field, read in exactly one
-place (:meth:`RuntimeConfig.from_env`), and the consuming modules —
-:mod:`repro.experiments.runner`, :mod:`repro.experiments.store`,
-:mod:`repro.experiments.artifacts`, :mod:`repro.topology.cache`,
+Every ``REPRO_*`` environment variable is a *documented default* for
+one :class:`RuntimeConfig` field, read in exactly one place
+(:meth:`RuntimeConfig.from_env`).  The consuming modules — the runner,
+the store, the executor, the ACD evaluator,
 :func:`repro.experiments.config.active_scale` — ask
-:func:`runtime_config` instead of ``os.environ``.
+:func:`runtime_config` instead of ``os.environ``, and only when they
+need the value, so a malformed variable fails the call that reads it
+with a ``ValueError``, never ``import repro``.
 
 ===========================  =======================  ==================
 Environment variable         Field                    Default
@@ -17,10 +15,6 @@ Environment variable         Field                    Default
 ``REPRO_SCALE``              ``scale``                ``"small"``
 ``REPRO_JOBS``               ``jobs``                 ``None`` (serial)
 ``REPRO_STORE``              ``store_dir``            ``None`` (no store; dir path or ``sqlite://`` URL)
-``REPRO_CACHE_ENTRIES``      ``cache_entries``        ``32``
-``REPRO_CACHE_MATRIX_BYTES`` ``cache_matrix_bytes``   ``256 MiB``
-``REPRO_EVENT_CACHE_BYTES``  ``event_cache_bytes``    ``256 MiB``
-``REPRO_EVENT_CACHE_ENTRIES`` ``event_cache_entries`` ``256``
 ``REPRO_TRACE``              ``trace``                ``False``
 ``REPRO_METRICS``            ``metrics_path``         ``None``
 ``REPRO_MAX_RETRIES``        ``max_retries``          ``2``
@@ -36,9 +30,9 @@ config is installed, :func:`runtime_config` re-reads the environment on
 every call, so tests that monkeypatch ``REPRO_*`` keep working.
 
 This module is import-light (stdlib only) so the lowest layers — the
-topology cache in particular — can read it without import cycles; the
-side-effectful application of a config (pool default, cache swaps,
-recorder installation) lives in :func:`configure` behind local imports.
+ACD evaluator in particular — can read it without import cycles; the
+side-effectful application of a config (pool default, recorder
+installation) lives in :func:`configure` behind local imports.
 """
 
 from __future__ import annotations
@@ -64,10 +58,6 @@ ENV_VARS: dict[str, str] = {
     "REPRO_SCALE": "scale",
     "REPRO_JOBS": "jobs",
     "REPRO_STORE": "store_dir",
-    "REPRO_CACHE_ENTRIES": "cache_entries",
-    "REPRO_CACHE_MATRIX_BYTES": "cache_matrix_bytes",
-    "REPRO_EVENT_CACHE_BYTES": "event_cache_bytes",
-    "REPRO_EVENT_CACHE_ENTRIES": "event_cache_entries",
     "REPRO_TRACE": "trace",
     "REPRO_METRICS": "metrics_path",
     "REPRO_MAX_RETRIES": "max_retries",
@@ -149,7 +139,9 @@ def parse_store_url(url: str) -> tuple[str, str]:
     return scheme, rest
 
 
-def _int_env(env: Mapping[str, str], var: str, default: int, minimum: int = 0) -> int:
+def _int_env(
+    env: Mapping[str, str], var: str, default: int | None, minimum: int = 0
+) -> int | None:
     raw = env.get(var, "").strip()
     if not raw:
         return default
@@ -175,11 +167,6 @@ class RuntimeConfig:
         backend URL (``sqlite://path/to/results.db`` for the shared
         WAL-mode SQLite backend; see :func:`parse_store_url` for the
         grammar).  ``None`` disables the store.
-    cache_entries, cache_matrix_bytes:
-        Topology-cache budgets (entries per section / max bytes of one
-        distance matrix; ``0`` disables matrix caching).
-    event_cache_bytes, event_cache_entries:
-        Event-artifact cache budgets (``bytes=0`` disables caching).
     trace:
         Install an :mod:`repro.obs` recorder for the run.
     metrics_path:
@@ -214,10 +201,6 @@ class RuntimeConfig:
     scale: str = "small"
     jobs: int | None = None
     store_dir: str | None = None
-    cache_entries: int = 32
-    cache_matrix_bytes: int = 256 << 20
-    event_cache_bytes: int = 256 << 20
-    event_cache_entries: int = 256
     trace: bool = False
     metrics_path: str | None = None
     max_retries: int = 2
@@ -243,19 +226,12 @@ class RuntimeConfig:
             from repro.faults import parse_faults  # stdlib-only, cycle-free
 
             parse_faults(self.faults)  # raises ValueError on a bad plan
-        for name in ("cache_matrix_bytes", "event_cache_bytes"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
-        for name in ("cache_entries", "event_cache_entries"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
     @classmethod
     def from_env(cls, env: Mapping[str, str] | None = None) -> "RuntimeConfig":
         """Parse the ``REPRO_*`` variables (the one place that does)."""
         if env is None:
             env = os.environ
-        jobs_raw = env.get("REPRO_JOBS", "").strip()
         store_raw = env.get("REPRO_STORE", "").strip()
         metrics_raw = env.get("REPRO_METRICS", "").strip()
         timeout_raw = env.get("REPRO_UNIT_TIMEOUT", "").strip()
@@ -275,12 +251,8 @@ class RuntimeConfig:
             ) from None
         return cls(
             scale=env.get("REPRO_SCALE", "").strip() or "small",
-            jobs=max(1, int(jobs_raw)) if jobs_raw else None,
+            jobs=_int_env(env, "REPRO_JOBS", None, minimum=1),
             store_dir=store_raw or None,
-            cache_entries=_int_env(env, "REPRO_CACHE_ENTRIES", 32, minimum=1),
-            cache_matrix_bytes=_int_env(env, "REPRO_CACHE_MATRIX_BYTES", 256 << 20),
-            event_cache_bytes=_int_env(env, "REPRO_EVENT_CACHE_BYTES", 256 << 20),
-            event_cache_entries=_int_env(env, "REPRO_EVENT_CACHE_ENTRIES", 256, minimum=1),
             trace=env.get("REPRO_TRACE", "").strip().lower() in _TRUTHY,
             metrics_path=metrics_raw or None,
             max_retries=_int_env(env, "REPRO_MAX_RETRIES", 2),
@@ -342,8 +314,7 @@ def _apply(config: RuntimeConfig) -> list:
     """
     global _active
     from repro import obs
-    from repro.experiments import artifacts, runner
-    from repro.topology import cache as topo_cache
+    from repro.experiments import runner
 
     undo: list = []
 
@@ -359,32 +330,6 @@ def _apply(config: RuntimeConfig) -> list:
     previous_jobs = runner._default_jobs
     runner.set_default_jobs(config.jobs)
     undo.append(lambda: runner.set_default_jobs(previous_jobs))
-
-    current_topo = topo_cache.get_topology_cache()
-    if (
-        current_topo.max_matrix_bytes != config.cache_matrix_bytes
-        or current_topo._matrices.max_entries != config.cache_entries
-    ):
-        replaced = topo_cache.set_topology_cache(
-            topo_cache.TopologyCache(
-                max_entries=config.cache_entries,
-                max_matrix_bytes=config.cache_matrix_bytes,
-            )
-        )
-        undo.append(lambda: topo_cache.set_topology_cache(replaced))
-
-    current_events = artifacts.get_event_cache()
-    if (
-        current_events.max_bytes != config.event_cache_bytes
-        or current_events.max_entries != config.event_cache_entries
-    ):
-        replaced_events = artifacts.set_event_cache(
-            artifacts.EventArtifactCache(
-                max_bytes=config.event_cache_bytes,
-                max_entries=config.event_cache_entries,
-            )
-        )
-        undo.append(lambda: artifacts.set_event_cache(replaced_events))
 
     if config.trace and obs.get_recorder() is None:
         previous_recorder = obs.set_recorder(obs.Recorder())
@@ -405,9 +350,8 @@ def configure(config: RuntimeConfig | None = None, **overrides: Any) -> _Configu
             run_study("fig6")
 
     Applying a config installs the ``jobs`` default for the process
-    pool, swaps the topology/event caches when their budgets changed
-    (statistics reset with the swap), and installs an
-    :mod:`repro.obs` recorder when ``trace`` is set and none is active.
+    pool and installs an :mod:`repro.obs` recorder when ``trace`` is
+    set and none is active.
     The returned handle restores all of it on ``__exit__`` (or via
     ``.restore()``).
     """

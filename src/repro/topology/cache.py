@@ -1,8 +1,8 @@
 """Shared per-topology memoisation: distance matrices and routing tables.
 
 Trial-averaged experiments evaluate the same network over and over —
-``run_case`` draws fresh particles per trial but the topology (and hence
-every hop distance and every routed path) is identical across trials.
+each trial draws fresh particles but the topology (and hence every hop
+distance and every routed path) is identical across trials.
 This module provides a process-wide, thread-safe, size-capped LRU cache
 so that :func:`repro.metrics.acd.compute_acd`,
 :mod:`repro.metrics.anns` and the contention simulator stop recomputing
@@ -21,18 +21,10 @@ Cache keys are derived from the *parameters* of a topology (class, size,
 processor curve, hop convention, ...), not object identity, so two
 equal-parameter instances share entries.
 
-Knobs
------
-The default cache sizes come from the runtime config
-(:func:`repro.runtime.runtime_config`), read once at import time:
-
-* ``cache_matrix_bytes`` (``REPRO_CACHE_MATRIX_BYTES``) — per-matrix
-  byte cap (default 256 MiB; ``0`` disables matrix caching entirely).
-* ``cache_entries`` (``REPRO_CACHE_ENTRIES``) — max resident entries
-  per section (default 32); LRU entries are evicted beyond this.
-
-Call :func:`set_topology_cache` (or
-:func:`repro.runtime.configure`) to swap in a differently-sized cache.
+The process-wide cache caps any single distance matrix at 256 MiB and
+holds at most 32 entries per section, evicting the least recently used
+beyond that; call :func:`set_topology_cache` to swap in a
+differently-sized cache.
 
 Every hit, miss and eviction is also reported to :mod:`repro.obs`
 (``topo_cache.*`` counters) so recorded runs can prove their reuse.
@@ -48,7 +40,6 @@ import numpy as np
 
 from repro import obs
 from repro._typing import IntArray
-from repro.runtime import runtime_config
 from repro.topology.base import Topology
 
 __all__ = [
@@ -269,12 +260,7 @@ class TopologyCache:
             }
 
 
-_runtime = runtime_config()
-_default_cache = TopologyCache(
-    max_entries=_runtime.cache_entries,
-    max_matrix_bytes=_runtime.cache_matrix_bytes,
-)
-del _runtime
+_default_cache = TopologyCache()
 _default_lock = threading.Lock()
 
 

@@ -40,7 +40,7 @@ class TestApplicationModel:
         ring = make_topology("ring", 16)
         report = model.evaluate(ring)
         halo, ar = report.phases["halo"], report.phases["allreduce"]
-        assert report.total.total_distance == 4 * halo.total_distance + ar.total_distance
+        assert report.total.total == 4 * halo.total + ar.total
         assert report.total.count == 4 * halo.count + ar.count
 
     def test_factory_phase_adapts_to_topology(self, model):
@@ -80,7 +80,7 @@ class TestRecommendation:
         }
         ranked = recommend_configuration(app, candidates)
         labels = [label for label, _ in ranked]
-        costs = [r.total_distance_per_timestep for _, r in ranked]
+        costs = [r.cost_per_timestep for _, r in ranked]
         assert costs == sorted(costs)
         assert labels[0] == "hypercube"  # log-tree broadcast loves the cube
         assert labels[-1] == "bus"
@@ -112,8 +112,8 @@ class TestRecommendation:
         assert sum(cache.stats.values()) > 0  # the explicit cache was exercised
         # disabling the cache produces identical results
         plain = recommend_configuration(app, candidates, cache=None)
-        assert [(label, r.total.total_distance) for label, r in ranked] == [
-            (label, r.total.total_distance) for label, r in plain
+        assert [(label, r.total.total) for label, r in ranked] == [
+            (label, r.total.total) for label, r in plain
         ]
 
     def test_evaluate_cache_passthrough(self):
@@ -152,12 +152,7 @@ class TestObjectives:
         from_raw = self._model(raw).evaluate(topo, objective=objective)
         from_hist = self._model(compacted).evaluate(topo, objective=objective)
 
-        def totals(report):
-            phase = report.phases["halo"]
-            total = phase.total_distance if objective == "acd" else phase.total
-            return total, phase.count
-
-        assert totals(from_raw) == totals(from_hist)
+        assert from_raw.phases["halo"] == from_hist.phases["halo"]
 
     def test_recommend_with_energy_objective(self):
         app = self._model(events_of([(i, i + 1) for i in range(7)]))

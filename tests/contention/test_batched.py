@@ -1,10 +1,12 @@
 """Batched simulator engine vs the pure-Python reference oracle.
 
-The two engines implement one scheduling discipline and must agree
-*exactly* — same makespan, same congestion/dilation, same latency
-statistics — on every topology, weighted or not.  These tests pin that
-equivalence and the weighted-traffic semantics (an event of weight ``w``
-injects ``w`` unit messages).
+The engine and the oracle (:func:`tests.contention.oracle.reference_drain`,
+swapped in for the engine's drain loop) implement one scheduling
+discipline and must agree *exactly* — same makespan, same
+congestion/dilation, same latency statistics — on every topology,
+weighted or not.  These tests pin that equivalence and the
+weighted-traffic semantics (an event of weight ``w`` injects ``w`` unit
+messages).
 """
 
 from __future__ import annotations
@@ -12,13 +14,23 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.contention import RoutedBatch, route, route_batch, simulate_exchange
+from repro.contention import RoutedBatch, route, route_batch, simulate_exchange, simulator
 from repro.fmm.events import CommunicationEvents
 from repro.topology import make_topology
 from repro.topology.cache import TopologyCache
 from repro.topology.registry import PAPER_TOPOLOGIES, TOPOLOGIES
+from tests.contention.oracle import reference_drain
 
 ALL_TOPOLOGIES = tuple(sorted(TOPOLOGIES))
+
+
+def simulate_both(monkeypatch, events, topology):
+    """``simulate_exchange`` on the NumPy engine, then on the oracle."""
+    fast = simulate_exchange(events, topology)
+    with monkeypatch.context() as patched:
+        patched.setattr(simulator, "_drain_batched", reference_drain)
+        slow = simulate_exchange(events, topology)
+    return fast, slow
 
 
 def _random_events(p: int, n: int, seed: int, weighted: bool) -> CommunicationEvents:
@@ -38,42 +50,32 @@ def _random_events(p: int, n: int, seed: int, weighted: bool) -> CommunicationEv
 class TestEngineEquivalence:
     @pytest.mark.parametrize("name", PAPER_TOPOLOGIES)
     @pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
-    def test_paper_topologies(self, name, weighted):
+    def test_paper_topologies(self, name, weighted, monkeypatch):
         topo = make_topology(name, 64, processor_curve="hilbert")
         events = _random_events(64, 400, seed=hash((name, weighted)) % 2**31, weighted=weighted)
-        fast = simulate_exchange(events, topo, engine="batched")
-        slow = simulate_exchange(events, topo, engine="reference")
+        fast, slow = simulate_both(monkeypatch, events, topo)
         assert fast == slow
 
     @pytest.mark.parametrize("name", ["mesh3d", "torus3d", "octree"])
-    def test_3d_topologies(self, name):
+    def test_3d_topologies(self, name, monkeypatch):
         topo = make_topology(name, 64)
         events = _random_events(64, 300, seed=5, weighted=True)
-        fast = simulate_exchange(events, topo, engine="batched")
-        slow = simulate_exchange(events, topo, engine="reference")
+        fast, slow = simulate_both(monkeypatch, events, topo)
         assert fast == slow
-
-    def test_unknown_engine_rejected(self):
-        topo = make_topology("ring", 8)
-        events = CommunicationEvents()
-        events.add([0], [1])
-        with pytest.raises(ValueError, match="engine"):
-            simulate_exchange(events, topo, engine="warp")
 
 
 class TestWeightedSemantics:
     """Regression: weighted events used to be silently treated as weight 1."""
 
-    def test_weight_equals_repeated_unit_events(self):
+    def test_weight_equals_repeated_unit_events(self, monkeypatch):
         topo = make_topology("torus", 16, processor_curve="hilbert")
         weighted = CommunicationEvents()
         weighted.add([0, 3, 7], [5, 12, 2], [3, 1, 2])
         expanded = CommunicationEvents()
         expanded.add([0, 0, 0, 3, 7, 7], [5, 5, 5, 12, 2, 2])
-        for engine in ("batched", "reference"):
-            assert simulate_exchange(weighted, topo, engine=engine) == simulate_exchange(
-                expanded, topo, engine=engine
-            )
+        assert simulate_both(monkeypatch, weighted, topo) == simulate_both(
+            monkeypatch, expanded, topo
+        )
 
     def test_weights_inject_proportional_traffic(self):
         topo = make_topology("ring", 8)
@@ -145,19 +147,18 @@ class TestRouteBatch:
 class TestExistingFixturesUnchanged:
     """Makespans the seed implementation produced must survive the rewrite."""
 
-    def test_shared_first_link_serialises(self):
+    def test_shared_first_link_serialises(self, monkeypatch):
         # both messages need link 0->1; the second waits one cycle and the
         # first pipelines onward, so both land at cycle 2
         topo = make_topology("bus", 4)
         events = CommunicationEvents()
         events.add([0, 0], [2, 1])
-        for engine in ("batched", "reference"):
-            assert simulate_exchange(events, topo, engine=engine).makespan == 2
+        for result in simulate_both(monkeypatch, events, topo):
+            assert result.makespan == 2
 
-    def test_disjoint_paths_run_concurrently(self):
+    def test_disjoint_paths_run_concurrently(self, monkeypatch):
         topo = make_topology("ring", 8)
         events = CommunicationEvents()
         events.add([0, 4], [2, 6])
-        for engine in ("batched", "reference"):
-            result = simulate_exchange(events, topo, engine=engine)
+        for result in simulate_both(monkeypatch, events, topo):
             assert result.makespan == 2

@@ -40,7 +40,7 @@ class TestMeshRouting:
         rng = np.random.default_rng(0)
         ev = events_of(np.stack([rng.integers(0, 256, 3000), rng.integers(0, 256, 3000)], 1))
         res = link_loads(ev, mesh)
-        assert res.total_traffic == compute_acd(ev, mesh).total_distance
+        assert res.total_traffic == compute_acd(ev, mesh).total
 
     def test_shapes(self):
         res = link_loads(events_of([(0, 1)]), MeshTopology(64))
@@ -61,7 +61,7 @@ class TestTorusRouting:
         rng = np.random.default_rng(1)
         ev = events_of(np.stack([rng.integers(0, 1024, 5000), rng.integers(0, 1024, 5000)], 1))
         res = link_loads(ev, torus)
-        assert res.total_traffic == compute_acd(ev, torus).total_distance
+        assert res.total_traffic == compute_acd(ev, torus).total
 
     def test_shapes(self):
         res = link_loads(events_of([(0, 1)]), TorusTopology(64))

@@ -74,7 +74,7 @@ class TestBasics:
         rng = np.random.default_rng(1)
         ev = events_of(np.stack([rng.integers(0, 64, 200), rng.integers(0, 64, 200)], 1))
         result = simulate_exchange(ev, torus)
-        assert result.total_hops == compute_acd(ev, torus).total_distance
+        assert result.total_hops == compute_acd(ev, torus).total
 
     def test_cycle_guard(self):
         bus = make_topology("bus", 4)

@@ -39,20 +39,22 @@ class TestRejectionExhaustion:
 
 class TestRunnerValidation:
     def test_invalid_parts_rejected(self):
-        from repro.experiments import FmmCase, run_case
+        from repro.experiments import FmmCase, run_campaign
 
         case = FmmCase(100, 5, 16, "torus", "hilbert", "hilbert", "uniform")
         with pytest.raises(ValueError, match="parts"):
-            run_case(case, trials=1, parts=("nfi", "magic"))
+            run_campaign([case], trials=1, parts=("nfi", "magic"))
         with pytest.raises(ValueError, match="parts"):
-            run_case(case, trials=1, parts=())
+            run_campaign([case], trials=1, parts=())
 
     def test_case_with_impossible_density_fails_loudly(self):
-        from repro.experiments import FmmCase, run_case
+        from repro.experiments import ExecutionPolicy, FmmCase, UnitFailedError, run_campaign
 
         case = FmmCase(100, 3, 16, "torus", "hilbert", "hilbert", "uniform")
-        with pytest.raises(SamplingError):
-            run_case(case, trials=1)  # 100 particles on an 8x8 lattice
+        with pytest.raises(UnitFailedError) as failed:
+            # 100 particles on an 8x8 lattice
+            run_campaign([case], trials=1, jobs=1, policy=ExecutionPolicy(max_retries=0))
+        assert isinstance(failed.value.__cause__, SamplingError)
 
 
 class TestEventValidation:

@@ -2,15 +2,41 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import pytest
 
+from repro.experiments.artifacts import EventArtifactCache, set_event_cache
 from repro.experiments.campaign import (
     case_groups,
     expand_grid,
     format_campaign,
     run_campaign,
 )
-from repro.experiments.runner import run_case
+
+
+@contextmanager
+def fresh_event_cache():
+    """Install an empty process-wide event cache for the block."""
+    cache = EventArtifactCache()
+    previous = set_event_cache(cache)
+    try:
+        yield cache
+    finally:
+        set_event_cache(previous)
+
+
+def run_per_case(cases, **kwargs):
+    """Each case in its own campaign, regenerating its own events.
+
+    A fresh event cache per case keeps the reference from reading
+    artifacts that a grouped run (or a sibling case) left behind.
+    """
+    results = []
+    for case in cases:
+        with fresh_event_cache():
+            results.extend(run_campaign([case], jobs=1, **kwargs))
+    return results
 
 
 class TestExpandGrid:
@@ -155,9 +181,15 @@ class TestSharedEventGeneration:
 
     @pytest.mark.parametrize("jobs", [1, 4])
     def test_campaign_bit_identical_to_per_case(self, cases, jobs):
-        grouped = run_campaign(cases, trials=2, seed=13, jobs=jobs)
-        per_case = [run_case(c, trials=2, seed=13, jobs=1) for c in cases]
-        assert grouped == per_case  # CaseResult equality is exact (floats included)
+        with fresh_event_cache() as cache:
+            grouped = run_campaign(cases, trials=2, seed=13, jobs=jobs)
+            # served from the artifacts the cold run left in the cache
+            warm = run_campaign(cases, trials=2, seed=13, jobs=jobs)
+        if jobs == 1:  # 2 instance groups x 2 trials: built once, then reused
+            assert (cache.stats["misses"], cache.stats["hits"]) == (4, 4)
+        per_case = run_per_case(cases, trials=2, seed=13)
+        # CaseResult equality is exact (floats included)
+        assert grouped == warm == per_case
 
     def test_heterogeneous_instances_still_exact(self):
         # no two cases share an instance: grouping must be a no-op
@@ -172,10 +204,10 @@ class TestSharedEventGeneration:
         )
         assert len(case_groups(cases)) == 3
         grouped = run_campaign(cases, trials=1, seed=4)
-        per_case = [run_case(c, trials=1, seed=4) for c in cases]
+        per_case = run_per_case(cases, trials=1, seed=4)
         assert grouped == per_case
 
     def test_nfi_only_campaign_matches_per_case(self, cases):
         grouped = run_campaign(cases, trials=1, seed=2, parts=("nfi",))
-        per_case = [run_case(c, trials=1, seed=2, parts=("nfi",)) for c in cases]
+        per_case = run_per_case(cases, trials=1, seed=2, parts=("nfi",))
         assert grouped == per_case

@@ -1,11 +1,20 @@
-"""Tests for the trial-averaging case runner."""
+"""Tests for trial-averaged case execution and the shared executor.
+
+Every FMM trial runs through the campaign engine; a one-case campaign
+is how a single case is evaluated.
+"""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.experiments import FmmCase, run_case
-from repro.topology import make_topology
+from repro.experiments import FmmCase, run_campaign
+
+
+def run_one(case, **kwargs):
+    """The trial-averaged result of one case on its own."""
+    (result,) = run_campaign([case], **kwargs)
+    return result
 
 
 @pytest.fixture
@@ -24,7 +33,7 @@ def case():
 
 class TestRunCase:
     def test_result_fields(self, case):
-        result = run_case(case, trials=2, seed=0)
+        result = run_one(case, trials=2, seed=0)
         assert result.trials == 2
         assert result.nfi_acd >= 0 and result.ffi_acd >= 0
         assert result.nfi_events > 0 and result.ffi_events > 0
@@ -36,39 +45,33 @@ class TestRunCase:
         }
 
     def test_deterministic_across_runs(self, case):
-        a = run_case(case, trials=3, seed=99)
-        b = run_case(case, trials=3, seed=99)
+        a = run_one(case, trials=3, seed=99)
+        b = run_one(case, trials=3, seed=99)
         assert a.nfi_acd == b.nfi_acd and a.ffi_acd == b.ffi_acd
 
     def test_seed_changes_results(self, case):
-        a = run_case(case, trials=1, seed=1)
-        b = run_case(case, trials=1, seed=2)
+        a = run_one(case, trials=1, seed=1)
+        b = run_one(case, trials=1, seed=2)
         assert a.nfi_acd != b.nfi_acd
 
     def test_single_trial_has_zero_std(self, case):
-        result = run_case(case, trials=1, seed=0)
+        result = run_one(case, trials=1, seed=0)
         assert result.nfi_acd_std == 0.0
-
-    def test_prebuilt_topology_used(self, case):
-        net = make_topology("torus", 16, processor_curve="hilbert")
-        a = run_case(case, trials=1, seed=0, topology=net)
-        b = run_case(case, trials=1, seed=0)
-        assert a.nfi_acd == b.nfi_acd
 
     def test_invalid_trials(self, case):
         with pytest.raises(ValueError):
-            run_case(case, trials=0)
+            run_one(case, trials=0)
 
     def test_row_serialisation(self, case):
-        row = run_case(case, trials=1, seed=0).row()
+        row = run_one(case, trials=1, seed=0).row()
         assert row["topology"] == "torus"
         assert isinstance(row["nfi_acd"], float)
 
 
 class TestParallelRunner:
     def test_parallel_equals_serial(self, case):
-        serial = run_case(case, trials=3, seed=42, jobs=1)
-        parallel = run_case(case, trials=3, seed=42, jobs=2)
+        serial = run_one(case, trials=3, seed=42, jobs=1)
+        parallel = run_one(case, trials=3, seed=42, jobs=2)
         assert serial == parallel
 
     def test_jobs_env_var(self, case, monkeypatch):
@@ -94,16 +97,16 @@ class TestParallelRunner:
         from repro.experiments.runner import set_default_jobs
 
         with pytest.raises(ValueError):
-            run_case(case, trials=1, jobs=0)
+            run_one(case, trials=1, jobs=0)
         with pytest.raises(ValueError):
             set_default_jobs(0)
 
-    def test_run_trial_is_picklable(self):
+    def test_run_instance_trial_is_picklable(self):
         import pickle
 
-        from repro.experiments.runner import run_trial
+        from repro.experiments.campaign import run_instance_trial
 
-        assert pickle.loads(pickle.dumps(run_trial)) is run_trial
+        assert pickle.loads(pickle.dumps(run_instance_trial)) is run_instance_trial
 
 
 class TestSharedExecutor:

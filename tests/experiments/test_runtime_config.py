@@ -7,7 +7,7 @@ import pytest
 from repro import obs
 from repro.experiments import artifacts
 from repro.experiments import config as experiments_config
-from repro.experiments.runner import map_units, resolve_jobs
+from repro.experiments.runner import execute_units, resolve_jobs
 from repro.experiments.store import default_store
 from repro.runtime import ENV_VARS, RuntimeConfig, configure, runtime_config
 from repro.topology import cache as topo_cache
@@ -20,8 +20,6 @@ class TestFromEnv:
         assert config.scale == "small"
         assert config.jobs is None
         assert config.store_dir is None
-        assert config.cache_entries == 32
-        assert config.cache_matrix_bytes == 256 << 20
         assert config.trace is False
         assert config.metrics_path is None
 
@@ -30,10 +28,6 @@ class TestFromEnv:
             "REPRO_SCALE": "paper",
             "REPRO_JOBS": "4",
             "REPRO_STORE": "results/",
-            "REPRO_CACHE_ENTRIES": "7",
-            "REPRO_CACHE_MATRIX_BYTES": "1024",
-            "REPRO_EVENT_CACHE_BYTES": "2048",
-            "REPRO_EVENT_CACHE_ENTRIES": "9",
             "REPRO_TRACE": "1",
             "REPRO_METRICS": "out/manifest.json",
             "REPRO_MAX_RETRIES": "5",
@@ -47,10 +41,6 @@ class TestFromEnv:
         assert config.scale == "paper"
         assert config.jobs == 4
         assert config.store_dir == "results/"
-        assert config.cache_entries == 7
-        assert config.cache_matrix_bytes == 1024
-        assert config.event_cache_bytes == 2048
-        assert config.event_cache_entries == 9
         assert config.trace is True
         assert config.metrics_path == "out/manifest.json"
         assert config.max_retries == 5
@@ -88,8 +78,38 @@ class TestFromEnv:
         assert RuntimeConfig.from_env({"REPRO_TRACE": raw}).trace is expected
 
     def test_invalid_int_raises(self):
-        with pytest.raises(ValueError, match="REPRO_CACHE_ENTRIES"):
-            RuntimeConfig.from_env({"REPRO_CACHE_ENTRIES": "lots"})
+        with pytest.raises(ValueError, match="REPRO_MAX_RETRIES"):
+            RuntimeConfig.from_env({"REPRO_MAX_RETRIES": "lots"})
+
+    def test_invalid_jobs_names_the_variable(self):
+        with pytest.raises(ValueError, match="REPRO_JOBS"):
+            RuntimeConfig.from_env({"REPRO_JOBS": "lots"})
+        assert RuntimeConfig.from_env({"REPRO_JOBS": "0"}).jobs == 1  # clamped, as before
+
+    def test_malformed_env_does_not_break_import(self):
+        """Nothing reads the config at import time, so a bad variable
+        fails the call that needs it, not ``import repro``."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        env = {
+            **os.environ,
+            "PYTHONPATH": str(Path(repro.__file__).resolve().parents[1]),
+            "REPRO_JOBS": "lots",
+            "REPRO_MEMORY_BUDGET": "lots",
+        }
+        done = subprocess.run(
+            [sys.executable, "-c", "import repro, repro.experiments"],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
 
     def test_memory_budget_parsing(self):
         from repro.runtime import parse_bytes
@@ -112,10 +132,6 @@ class TestFromEnv:
     def test_validation(self):
         with pytest.raises(ValueError):
             RuntimeConfig(jobs=0)
-        with pytest.raises(ValueError):
-            RuntimeConfig(cache_matrix_bytes=-1)
-        with pytest.raises(ValueError):
-            RuntimeConfig(event_cache_entries=0)
 
     def test_roundtrip_as_dict(self):
         config = RuntimeConfig(jobs=2, store_dir="x", trace=True)
@@ -182,20 +198,12 @@ class TestSingleParseSite:
 
 
 class TestConfigureSideEffects:
-    def test_swaps_caches_on_budget_change(self):
+    def test_unchanged_budgets_keep_caches(self):
         before_topo = topo_cache.get_topology_cache()
         before_events = artifacts.get_event_cache()
-        with configure(cache_entries=3, event_cache_bytes=1024):
-            assert topo_cache.get_topology_cache() is not before_topo
-            assert topo_cache.get_topology_cache().max_entries == 3
-            assert artifacts.get_event_cache().max_bytes == 1024
-        assert topo_cache.get_topology_cache() is before_topo
-        assert artifacts.get_event_cache() is before_events
-
-    def test_unchanged_budgets_keep_caches(self):
-        before = topo_cache.get_topology_cache()
-        with configure(scale="paper"):
-            assert topo_cache.get_topology_cache() is before
+        with configure(scale="paper", jobs=2, memory_budget=1 << 20):
+            assert topo_cache.get_topology_cache() is before_topo
+            assert artifacts.get_event_cache() is before_events
 
     def test_jobs_default_installed_and_restored(self):
         with configure(jobs=2):
@@ -229,7 +237,7 @@ class TestMapUnitsAggregation:
     def test_counters_agree_with_serial_totals(self, jobs):
         args = [(i,) for i in range(8)]
         with obs.recording() as rec:
-            results = list(map_units(_counting_unit, args, jobs))
+            results = [out for _, out in sorted(execute_units(_counting_unit, args, jobs))]
         assert results == [i * i for i in range(8)]
         assert rec.counters["test.calls"] == 8
         assert rec.counters["test.total"] == sum(range(8))
@@ -241,6 +249,6 @@ class TestMapUnitsAggregation:
             assert rec.counters["units.serial"] == 8
 
     def test_no_recorder_no_overhead_path(self):
-        results = list(map_units(_counting_unit, [(2,), (3,)], 1))
+        results = [out for _, out in sorted(execute_units(_counting_unit, [(2,), (3,)], 1))]
         assert results == [4, 9]
         assert obs.get_recorder() is None

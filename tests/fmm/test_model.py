@@ -39,14 +39,14 @@ class TestFmmModel:
         assert combined.count == sum(
             report.ffi[k].count for k in ("interpolation", "anterpolation", "interaction")
         )
-        assert combined.total_distance == sum(
-            report.ffi[k].total_distance
+        assert combined.total == sum(
+            report.ffi[k].total
             for k in ("interpolation", "anterpolation", "interaction")
         )
 
     def test_interp_anterp_have_equal_acd(self, model, particles):
         report = model.evaluate(particles)
-        assert report.ffi["interpolation"].acd == report.ffi["anterpolation"].acd
+        assert report.ffi["interpolation"].mean == report.ffi["anterpolation"].mean
 
     def test_deterministic(self, model, particles):
         a = model.evaluate(particles)

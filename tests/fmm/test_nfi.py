@@ -76,7 +76,7 @@ class TestNfiEvents:
         solo = partition_particles(particles, "hilbert", 1)
         events = nfi_events(solo)
         topo = make_topology("bus", 1)
-        assert compute_acd(events, topo).acd == 0.0
+        assert compute_acd(events, topo).mean == 0.0
         assert len(events) > 0
 
     def test_radius_zero_rejected(self, assignment):

@@ -25,15 +25,15 @@ class TestWeightedEvents:
         ev = CommunicationEvents()
         ev.add([0, 0], [4, 1], weights=[2, 6])  # 2*4 + 6*1 = 14 over weight 8
         result = compute_acd(ev, bus)
-        assert result.total_distance == 14
+        assert result.total == 14
         assert result.count == 8
-        assert result.acd == pytest.approx(14 / 8)
+        assert result.mean == pytest.approx(14 / 8)
 
     def test_zero_weight_events_ignored_in_mean(self):
         bus = make_topology("bus", 8)
         ev = CommunicationEvents()
         ev.add([0], [7], weights=[0])
-        assert compute_acd(ev, bus).acd == 0.0
+        assert compute_acd(ev, bus).mean == 0.0
 
     def test_negative_weight_rejected(self):
         ev = CommunicationEvents()
@@ -72,7 +72,7 @@ class TestWeightedFfi:
         weighted = acd_breakdown(
             weighted_ffi_events(assignment, "multipole").as_mapping(), net
         )
-        assert weighted["combined"].acd == pytest.approx(plain["combined"].acd)
+        assert weighted["combined"].mean == pytest.approx(plain["combined"].mean)
 
     def test_multipole_expansion_size_scales_totals(self, assignment):
         net = make_topology("torus", 16, processor_curve="hilbert")
@@ -82,8 +82,8 @@ class TestWeightedFfi:
         ten = acd_breakdown(
             weighted_ffi_events(assignment, "multipole", expansion_size=10).as_mapping(), net
         )
-        assert ten["combined"].total_distance == 10 * one["combined"].total_distance
-        assert ten["combined"].acd == pytest.approx(one["combined"].acd)
+        assert ten["combined"].total == 10 * one["combined"].total
+        assert ten["combined"].mean == pytest.approx(one["combined"].mean)
 
     def test_aggregate_weights_equal_cell_occupancy(self, assignment):
         ffi = weighted_ffi_events(assignment, "aggregate")
@@ -105,7 +105,7 @@ class TestWeightedFfi:
         agg = acd_breakdown(
             weighted_ffi_events(assignment, "aggregate").as_mapping(), net
         )
-        assert agg["interpolation"].acd > plain["interpolation"].acd
+        assert agg["interpolation"].mean > plain["interpolation"].mean
 
     def test_unknown_model_rejected(self, assignment):
         with pytest.raises(ValueError, match="volume_model"):

@@ -82,7 +82,7 @@ class TestCustomTopology:
         star = StarTopology(8)
         ev = broadcast(np.arange(8))
         result = compute_acd(ev, star)
-        assert 0 < result.acd <= 2
+        assert 0 < result.mean <= 2
 
     def test_usable_in_fmm_model(self):
         particles = get_distribution("uniform").sample(200, 4, rng=1)

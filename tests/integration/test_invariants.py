@@ -61,7 +61,7 @@ class TestAcdInvariants:
         """The all-pairs mean cannot depend on a bijective relabelling."""
         ev = alltoall(np.arange(64))
         values = {
-            curve: compute_acd(ev, make_topology("torus", 64, processor_curve=curve)).acd
+            curve: compute_acd(ev, make_topology("torus", 64, processor_curve=curve)).mean
             for curve in ("hilbert", "zcurve", "gray", "rowmajor")
         }
         assert len({round(v, 12) for v in values.values()}) == 1
@@ -70,20 +70,20 @@ class TestAcdInvariants:
         for topo_name in ("torus", "quadtree", "hypercube"):
             net = make_topology(topo_name, 16, processor_curve="hilbert")
             asg = partition_particles(particles, "hilbert", 16)
-            assert compute_acd(nfi_events(asg), net).acd <= net.diameter
+            assert compute_acd(nfi_events(asg), net).mean <= net.diameter
 
     def test_single_processor_acd_is_zero(self, particles):
         asg = partition_particles(particles, "hilbert", 1)
         net = make_topology("bus", 1)
-        assert compute_acd(nfi_events(asg), net).acd == 0.0
-        assert compute_acd(ffi_events(asg).combined(), net).acd == 0.0
+        assert compute_acd(nfi_events(asg), net).mean == 0.0
+        assert compute_acd(ffi_events(asg).combined(), net).mean == 0.0
 
     def test_acd_identical_for_reversed_events(self, particles):
         """Hop metrics are symmetric, so direction cannot matter."""
         asg = partition_particles(particles, "zcurve", 16)
         net = make_topology("torus", 16, processor_curve="hilbert")
         ev = nfi_events(asg)
-        assert compute_acd(ev, net).acd == compute_acd(ev.reversed(), net).acd
+        assert compute_acd(ev, net).mean == compute_acd(ev.reversed(), net).mean
 
 
 participant_lists = st.lists(

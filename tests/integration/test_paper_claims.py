@@ -159,9 +159,9 @@ class TestFig6Claims:
         updown = QuadtreeTopology(1024, "hilbert", hop_convention="updown")
         levels = QuadtreeTopology(1024, "hilbert", hop_convention="levels")
         cube = make_topology("hypercube", 1024)
-        acd_updown = acd_breakdown(ffi.as_mapping(), updown)["combined"].acd
-        acd_levels = acd_breakdown(ffi.as_mapping(), levels)["combined"].acd
-        acd_cube = acd_breakdown(ffi.as_mapping(), cube)["combined"].acd
+        acd_updown = acd_breakdown(ffi.as_mapping(), updown)["combined"].mean
+        acd_levels = acd_breakdown(ffi.as_mapping(), levels)["combined"].mean
+        acd_cube = acd_breakdown(ffi.as_mapping(), cube)["combined"].mean
         assert acd_levels == pytest.approx(acd_updown / 2)
         assert acd_levels < acd_cube < acd_updown
 

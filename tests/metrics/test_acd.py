@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.fmm import CommunicationEvents
-from repro.metrics import ACDResult, acd_breakdown, compute_acd
+from repro.metrics import MetricValue, acd_breakdown, compute_acd
 from repro.topology import make_topology
 
 
@@ -19,24 +19,26 @@ def events_of(pairs):
 
 
 class TestACDResult:
+    """The ACD's result aggregate is the common :class:`MetricValue`."""
+
     def test_mean(self):
-        assert ACDResult(10, 4).acd == 2.5
+        assert MetricValue(10, 4).mean == 2.5
 
     def test_empty_is_zero(self):
-        assert ACDResult(0, 0).acd == 0.0
+        assert MetricValue(0, 0).mean == 0.0
 
     def test_merged(self):
-        merged = ACDResult(10, 4).merged(ACDResult(2, 2))
-        assert merged.total_distance == 12 and merged.count == 6
+        merged = MetricValue(10, 4).merged(MetricValue(2, 2))
+        assert merged.total == 12 and merged.count == 6
 
 
 class TestComputeACD:
     def test_hand_computed_bus(self):
         bus = make_topology("bus", 8)
         result = compute_acd(events_of([(0, 7), (1, 1), (2, 4)]), bus)
-        assert result.total_distance == 7 + 0 + 2
+        assert result.total == 7 + 0 + 2
         assert result.count == 3
-        assert result.acd == 3.0
+        assert result.mean == 3.0
 
     def test_streams_over_chunks(self):
         bus = make_topology("bus", 8)
@@ -44,11 +46,11 @@ class TestComputeACD:
         ev.add([0], [7])
         ev.add([1], [2])
         result = compute_acd(ev, bus)
-        assert result.total_distance == 8 and result.count == 2
+        assert result.total == 8 and result.count == 2
 
     def test_empty_events(self):
         result = compute_acd(CommunicationEvents(), make_topology("ring", 8))
-        assert result.count == 0 and result.acd == 0.0
+        assert result.count == 0 and result.mean == 0.0
 
     def test_rank_out_of_range_raises(self):
         bus = make_topology("bus", 4)
@@ -61,7 +63,7 @@ class TestComputeACD:
         ranks = np.arange(16)
         ev = CommunicationEvents()
         ev.add(ranks, ranks)
-        assert compute_acd(ev, net).acd == 0.0
+        assert compute_acd(ev, net).mean == 0.0
 
 
 class TestBreakdown:
@@ -72,9 +74,9 @@ class TestBreakdown:
             "b": events_of([(0, 1), (1, 2)]),  # distances 1, 1
         }
         out = acd_breakdown(phases, bus)
-        assert out["a"].acd == 4.0
-        assert out["b"].acd == 1.0
-        assert out["combined"].acd == pytest.approx(6 / 3)
+        assert out["a"].mean == 4.0
+        assert out["b"].mean == 1.0
+        assert out["combined"].mean == pytest.approx(6 / 3)
 
     def test_keys(self):
         out = acd_breakdown({"only": events_of([(0, 1)])}, make_topology("bus", 4))

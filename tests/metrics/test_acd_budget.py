@@ -134,7 +134,7 @@ def test_large_weights_accumulate_in_int64(path):
     cache = TopologyCache() if path == "dense" else None
     budget = 1000 if path == "chunked" else None
     result = compute_acd(histogram, topology, cache=cache, memory_budget=budget)
-    assert result.total_distance == want
+    assert result.total == want
     assert result.count == sum(weights.tolist())
     if cache is not None:
         assert cache.stats["matrices"] == 1

@@ -73,7 +73,7 @@ def test_compact_drops_zero_weight_pairs():
 def test_compact_empty_events():
     hist = CommunicationEvents().compact(8)
     assert hist.num_pairs == 0 and hist.num_events == 0 and hist.total_weight == 0
-    assert compute_acd(hist, make_topology("ring", 8)).acd == 0.0
+    assert compute_acd(hist, make_topology("ring", 8)).mean == 0.0
 
 
 def test_compact_rejects_out_of_range_ranks():

@@ -84,7 +84,7 @@ class TestCommunicationMetrics:
             DataVolumeMetric(bytes_per_unit=-1)
 
     def test_rankings_agree_with_acd_on_uniform_costs(self):
-        """Energy is a positive affine map of (total_distance, count), so
+        """Energy is a positive affine map of (total, count), so
         fixing the event multiset preserves the ACD's topology ranking."""
         hist = _histogram([(0, 5, 4), (2, 9, 1), (3, 3, 7), (1, 14, 2)], 16)
         topologies = [make_topology(n, 16) for n in ("bus", "ring", "hypercube")]
