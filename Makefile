@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench bench-paper experiments experiments-paper examples clean
+.PHONY: install test bench bench-paper paper-check experiments experiments-paper examples clean
 
 install:
 	$(PYTHON) -m pip install -e .
@@ -15,6 +15,10 @@ bench:
 
 bench-paper:
 	REPRO_SCALE=paper $(PYTHON) -m pytest benchmarks/ --benchmark-only
+
+# paper-scale tables + fig6 against benchmarks/paper_digests.json (~3 min)
+paper-check:
+	$(PYTHON) benchmarks/paper_check.py
 
 experiments:
 	$(PYTHON) -m repro.experiments.cli all

@@ -210,6 +210,12 @@ def main(argv: list[str] | None = None) -> int:
         "(a directory receives run_manifest.json; also REPRO_METRICS)",
     )
     args = parser.parse_args(argv)
+    try:  # a malformed REPRO_* value is a usage error
+        runtime_config()
+        active_scale(args.scale)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if args.jobs is not None and args.jobs < 1:
         parser.error("--jobs must be >= 1")
     if args.store and args.no_store:

@@ -181,6 +181,7 @@ def active_scale(name: str | None = None) -> Scale:
     try:
         return SCALES[chosen.lower()]
     except KeyError:
+        source = "" if name else " (REPRO_SCALE)"
         raise ValueError(
-            f"unknown scale {chosen!r}; available: {', '.join(SCALES)}"
+            f"unknown scale {chosen!r}{source}; available: {', '.join(SCALES)}"
         ) from None

@@ -5,8 +5,8 @@ from repro.fmm.ffi import FfiEvents, ffi_events, interaction_events, interpolati
 from repro.fmm.ffi3d import FfiEvents3D, ffi_events3d
 from repro.fmm.model import FmmCommunicationModel, FmmReport
 from repro.fmm.model3d import FmmCommunicationModel3D
-from repro.fmm.nfi3d import nfi_events3d, shifted_occupied_pairs3d
-from repro.fmm.nfi import nfi_events, shifted_occupied_pairs
+from repro.fmm.nfi3d import nfi_events3d
+from repro.fmm.nfi import nfi_events
 from repro.fmm.quadrant_tree import arity_tree_edges, quadrant_tree_events
 from repro.fmm.volume import weighted_ffi_events
 
@@ -14,7 +14,6 @@ __all__ = [
     "CommunicationEvents",
     "PairHistogram",
     "nfi_events",
-    "shifted_occupied_pairs",
     "FfiEvents",
     "ffi_events",
     "interpolation_events",
@@ -24,7 +23,6 @@ __all__ = [
     "FfiEvents3D",
     "ffi_events3d",
     "nfi_events3d",
-    "shifted_occupied_pairs3d",
     "FmmCommunicationModel3D",
     "quadrant_tree_events",
     "arity_tree_edges",

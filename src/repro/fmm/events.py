@@ -19,7 +19,9 @@ Unweighted chunks behave as weight 1 throughout.
 only looks at endpoints (the ACD in particular) and is bounded by
 ``p**2`` entries regardless of how many million events produced it,
 which makes it the natural artifact to cache and share when the same
-event stream is evaluated against many networks.
+event stream is evaluated against many networks.  Compaction sorts the
+flattened pair keys and counts runs, so its time and scratch memory
+scale with the events, never with the ``p**2`` rank space.
 """
 
 from __future__ import annotations
@@ -30,32 +32,9 @@ from typing import Iterator
 import numpy as np
 
 from repro._typing import IntArray
-from repro.runtime import runtime_config
 from repro.util.validation import as_index_array
 
 __all__ = ["CommunicationEvents", "PairHistogram"]
-
-#: Largest dense ``p**2`` scratch table ``compact`` will allocate (elements)
-#: when no memory budget is configured; beyond this the sort-based sparse
-#: path is used.  Both paths produce the identical histogram.
-_DENSE_COMPACT_CELLS = 1 << 22
-
-
-def _dense_compact_cells() -> int:
-    """The dense-scratch cutoff in effect for this ``compact`` call.
-
-    With :attr:`repro.runtime.RuntimeConfig.memory_budget` configured the
-    cutoff is derived from it — the dense path's scratch is one float64
-    ``np.bincount`` table, 8 bytes per ``p**2`` cell — so a
-    memory-bounded run never allocates a rank-squared table beyond its
-    budget.  Unconfigured runs keep the historical default.  Either way
-    the two compaction paths stay bit-identical; only the crossover
-    moves.
-    """
-    budget = runtime_config().memory_budget
-    if budget is None:
-        return _DENSE_COMPACT_CELLS
-    return max(1, budget // 8)
 
 
 @dataclass(frozen=True)
@@ -64,9 +43,9 @@ class PairHistogram:
 
     Entries are sorted by the flattened key ``src * p + dst`` and carry
     strictly positive integer weights, so two histograms built from the
-    same multiset — in any chunk order, by either compaction path — are
-    bit-identical.  All ACD arithmetic on a histogram stays in integers,
-    which keeps it exactly equivalent to streaming over the raw events.
+    same multiset, in any chunk order, are bit-identical.  All ACD
+    arithmetic on a histogram stays in integers, which keeps it exactly
+    equivalent to streaming over the raw events.
 
     Attributes
     ----------
@@ -207,11 +186,11 @@ class CommunicationEvents:
             The rank space ``p``; defaults to ``max_rank() + 1``.  Every
             referenced rank must satisfy ``0 <= rank < p``.
 
-        For small rank spaces the aggregation is one dense
-        ``np.bincount`` over the flattened ``src * p + dst`` keys; large
-        rank spaces (``p**2`` beyond the dense scratch budget) use a
-        sort-based sparse path.  The result is identical either way and
-        independent of chunk boundaries and chunk order.
+        The flattened ``src * p + dst`` keys are sorted and every run of
+        equal keys becomes one entry: its length for unweighted events,
+        the int64 sum of its weights otherwise (pairs whose weights sum
+        to zero are dropped).  The result is independent of chunk
+        boundaries and chunk order.
         """
         p = self.max_rank() + 1 if num_processors is None else int(num_processors)
         if p < 1:
@@ -229,7 +208,7 @@ class CommunicationEvents:
         )
         unweighted = all(w is None for _, _, w in self._chunks)
         if unweighted:
-            weights = None
+            keys.sort()
         else:
             weights = np.concatenate(
                 [
@@ -237,24 +216,17 @@ class CommunicationEvents:
                     for s, d, w in self._chunks
                 ]
             )
-        if p * p <= _dense_compact_cells():
-            if weights is None:
-                dense = np.bincount(keys, minlength=p * p)
-            else:
-                # float64 bincount sums of int weights are exact below 2**53
-                dense = np.bincount(keys, weights=weights, minlength=p * p)
-            flat = np.nonzero(dense)[0]
-            agg = np.rint(dense[flat]).astype(np.int64)
+            order = np.argsort(keys)
+            keys, weights = keys[order], weights[order]
+        starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+        flat = keys[starts]
+        if unweighted:
+            agg = np.diff(np.append(starts, keys.size))
         else:
-            flat, inverse = np.unique(keys, return_inverse=True)
-            if weights is None:
-                agg = np.bincount(inverse, minlength=flat.size).astype(np.int64)
-            else:
-                agg = np.rint(
-                    np.bincount(inverse, weights=weights, minlength=flat.size)
-                ).astype(np.int64)
+            agg = np.add.reduceat(weights, starts)
             keep = agg > 0  # zero-weight events contribute no histogram mass
             flat, agg = flat[keep], agg[keep]
+        agg = agg.astype(np.int64, copy=False)
         return PairHistogram(flat // p, flat % p, agg, p, self._count)
 
     def max_rank(self) -> int:

@@ -18,6 +18,13 @@ once per *ordered* pair — each cell walks its own list, exactly as §IV
 step 9 describes — so every unordered pair appears twice, which leaves
 the average unchanged.
 
+Each phase adds one chunk per level.  An interaction list depends only
+on the cell's parity class, so each level is one
+:func:`~repro.fmm.stencil.stencil_pairs` gather with one offset table
+per class; its events come out by class, then offset, then row-major
+cell.  Both phases take pyramids of any dimension: the 3D far field
+(:mod:`repro.fmm.ffi3d`) runs through the same two functions.
+
 Granularity
 -----------
 The paper describes the far field twice: §III walks quadtree *cells*
@@ -33,12 +40,16 @@ coarse levels carry relatively more weight.  The ablation study
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from repro._typing import IntArray
 from repro.fmm.events import CommunicationEvents
+from repro.fmm.stencil import stencil_pairs
+from repro.octree.interaction import interaction_offsets3d
 from repro.partition.assignment import Assignment
 from repro.quadtree.interaction import interaction_offsets
 from repro.quadtree.pyramid import EMPTY, representative_pyramid
@@ -80,9 +91,26 @@ def _check_granularity(granularity: str) -> bool:
 
 
 def _dedup(src: IntArray, dst: IntArray) -> tuple[IntArray, IntArray]:
-    """Collapse to distinct (src, dst) pairs."""
-    pairs = np.unique(np.stack([src, dst], axis=1), axis=0)
-    return pairs[:, 0], pairs[:, 1]
+    """Collapse to distinct (src, dst) pairs, in lexicographic order."""
+    if src.size == 0:
+        return src, dst
+    base = int(max(src.max(), dst.max())) + 1
+    keys = np.unique(src * base + dst)
+    return keys // base, keys % base
+
+
+@lru_cache(maxsize=2)
+def interaction_table(ndim: int) -> IntArray:
+    """Interaction-list offsets of every parity class, ``(2**ndim, m, ndim)``.
+
+    Class ``k`` holds the offsets of cells whose coordinate parities,
+    read as binary digits with axis 0 most significant, spell ``k`` —
+    the layout :func:`~repro.fmm.stencil.stencil_pairs` expects.
+    """
+    offsets = {2: interaction_offsets, 3: interaction_offsets3d}[ndim]
+    table = np.stack([offsets(*parity) for parity in itertools.product((0, 1), repeat=ndim)])
+    table.setflags(write=False)  # cached and shared — keep immutable
+    return table
 
 
 def interpolation_events(
@@ -93,10 +121,8 @@ def interpolation_events(
     events = CommunicationEvents(component="interpolation")
     for level in range(len(pyramid) - 1, 0, -1):
         child, parent = pyramid[level], pyramid[level - 1]
-        cx, cy = np.nonzero(child != EMPTY)
-        if cx.size == 0:
-            continue
-        src, dst = child[cx, cy], parent[cx >> 1, cy >> 1]
+        cells = np.nonzero(child != EMPTY)
+        src, dst = child[cells], parent[tuple(c >> 1 for c in cells)]
         if per_processor:
             src, dst = _dedup(src, dst)
         events.add(src, dst)
@@ -113,35 +139,11 @@ def interaction_events(
     """
     per_processor = _check_granularity(granularity)
     events = CommunicationEvents(component="interaction")
-    for level in range(2, len(pyramid)):
-        grid = pyramid[level]
-        side = grid.shape[0]
-        occ_x, occ_y = np.nonzero(grid != EMPTY)
-        if occ_x.size == 0:
-            continue
-        src_all = grid[occ_x, occ_y]
-        level_chunks: list[IntArray] = []
-        for px in (0, 1):
-            for py in (0, 1):
-                sel = ((occ_x & 1) == px) & ((occ_y & 1) == py)
-                if not np.any(sel):
-                    continue
-                xs, ys, srcs = occ_x[sel], occ_y[sel], src_all[sel]
-                for dx, dy in interaction_offsets(px, py):
-                    tx, ty = xs + dx, ys + dy
-                    inb = (tx >= 0) & (tx < side) & (ty >= 0) & (ty < side)
-                    if not np.any(inb):
-                        continue
-                    dsts = grid[tx[inb], ty[inb]]
-                    occupied = dsts != EMPTY
-                    src, dst = srcs[inb][occupied], dsts[occupied]
-                    if per_processor:
-                        level_chunks.append(np.stack([src, dst], axis=1))
-                    else:
-                        events.add(src, dst)
-        if per_processor and level_chunks:
-            pairs = np.unique(np.concatenate(level_chunks), axis=0)
-            events.add(pairs[:, 0], pairs[:, 1])
+    for grid in pyramid[2:]:
+        src, dst = stencil_pairs(grid, interaction_table(grid.ndim), EMPTY)
+        if per_processor:
+            src, dst = _dedup(src, dst)
+        events.add(src, dst)
     return events
 
 

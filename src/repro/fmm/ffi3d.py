@@ -2,87 +2,33 @@
 
 The octree analogue of :mod:`repro.fmm.ffi`: interpolation and
 anterpolation walk the representative pyramid, and every non-empty cell
-exchanges with its (up to 189-member) 3D interaction list.
+exchanges with its (up to 189-member) 3D interaction list.  Both phases
+run through the dimension-generic generators of :mod:`repro.fmm.ffi`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import numpy as np
-
 from repro._typing import IntArray
 from repro.fmm.events import CommunicationEvents
-from repro.octree.interaction import interaction_offsets3d
-from repro.octree.pyramid import EMPTY, representative_pyramid3d
+from repro.fmm.ffi import FfiEvents, interaction_events, interpolation_events
+from repro.octree.pyramid import representative_pyramid3d
 from repro.partition.assignment3d import Assignment3D
 
 __all__ = ["FfiEvents3D", "ffi_events3d", "interpolation_events3d", "interaction_events3d"]
 
 
-@dataclass(frozen=True)
-class FfiEvents3D:
+class FfiEvents3D(FfiEvents):
     """The three far-field phases of the 3D model."""
-
-    interpolation: CommunicationEvents
-    anterpolation: CommunicationEvents
-    interaction: CommunicationEvents
-
-    def as_mapping(self) -> dict[str, CommunicationEvents]:
-        """Phase-name → events mapping (for breakdown reporting)."""
-        return {
-            "interpolation": self.interpolation,
-            "anterpolation": self.anterpolation,
-            "interaction": self.interaction,
-        }
 
 
 def interpolation_events3d(pyramid: list[IntArray]) -> CommunicationEvents:
     """Child-representative → parent-representative transfers, all levels."""
-    events = CommunicationEvents(component="interpolation")
-    for level in range(len(pyramid) - 1, 0, -1):
-        child, parent = pyramid[level], pyramid[level - 1]
-        cx, cy, cz = np.nonzero(child != EMPTY)
-        if cx.size == 0:
-            continue
-        events.add(child[cx, cy, cz], parent[cx >> 1, cy >> 1, cz >> 1])
-    return events
+    return interpolation_events(pyramid)
 
 
 def interaction_events3d(pyramid: list[IntArray]) -> CommunicationEvents:
     """Interaction-list exchanges at every octree level (ordered pairs)."""
-    events = CommunicationEvents(component="interaction")
-    for level in range(2, len(pyramid)):
-        grid = pyramid[level]
-        side = grid.shape[0]
-        ox, oy, oz = np.nonzero(grid != EMPTY)
-        if ox.size == 0:
-            continue
-        src_all = grid[ox, oy, oz]
-        for px in (0, 1):
-            for py in (0, 1):
-                for pz in (0, 1):
-                    sel = ((ox & 1) == px) & ((oy & 1) == py) & ((oz & 1) == pz)
-                    if not np.any(sel):
-                        continue
-                    xs, ys, zs = ox[sel], oy[sel], oz[sel]
-                    srcs = src_all[sel]
-                    for dx, dy, dz in interaction_offsets3d(px, py, pz):
-                        tx, ty, tz = xs + dx, ys + dy, zs + dz
-                        inb = (
-                            (tx >= 0)
-                            & (tx < side)
-                            & (ty >= 0)
-                            & (ty < side)
-                            & (tz >= 0)
-                            & (tz < side)
-                        )
-                        if not np.any(inb):
-                            continue
-                        dsts = grid[tx[inb], ty[inb], tz[inb]]
-                        occupied = dsts != EMPTY
-                        events.add(srcs[inb][occupied], dsts[occupied])
-    return events
+    return interaction_events(pyramid)
 
 
 def ffi_events3d(assignment: Assignment3D) -> FfiEvents3D:

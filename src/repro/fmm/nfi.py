@@ -7,45 +7,24 @@ uses the edge/corner (Chebyshev) neighbourhood — "the number of nearest
 neighbors which share an edge/corner with a cell is bounded by 8
 (corresponding to r = 1)".
 
-The generator works entirely on the dense owner grid: for each offset of
-the neighbourhood stencil it aligns the grid with a shifted copy of
-itself and keeps positions where both cells are occupied, so the cost is
-``O(|stencil| * side**2)`` NumPy work with no Python-level per-particle
-loop.  Each unordered neighbour pair is counted exactly once (the
-stencil is restricted to a half-plane); the ACD is invariant to this
-choice and the companion ordered-pair count is simply twice ours.
+The neighbourhood is a fixed stencil on the owner grid, so the events
+come from one :func:`~repro.fmm.stencil.stencil_pairs` gather over the
+occupied cells, with no Python-level per-particle or per-offset loop.
+Each unordered neighbour pair is counted exactly once (the stencil is
+cut to a half-space by :func:`~repro.fmm.stencil.half_stencil`); the
+ACD is invariant to this choice and the companion ordered-pair count is
+simply twice ours.  Events come out offset by offset, each offset's in
+row-major order of the source cell.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro._typing import IntArray
 from repro.fmm.events import CommunicationEvents
+from repro.fmm.stencil import half_stencil, stencil_pairs
 from repro.partition.assignment import Assignment
 from repro.quadtree.cells import neighbor_offsets
 
-__all__ = ["nfi_events", "shifted_occupied_pairs"]
-
-
-def shifted_occupied_pairs(
-    owner_grid: IntArray, dx: int, dy: int
-) -> tuple[IntArray, IntArray]:
-    """Owner pairs ``(grid[c], grid[c + (dx, dy)])`` over occupied cells.
-
-    Alignment is done with array views, so no index arrays are built for
-    the (usually dominant) unoccupied portion of the lattice.
-    """
-    side = owner_grid.shape[0]
-    if abs(dx) >= side or abs(dy) >= side:
-        empty = np.empty(0, dtype=owner_grid.dtype)
-        return empty, empty.copy()
-    ax0, ax1 = max(0, -dx), side - max(0, dx)
-    ay0, ay1 = max(0, -dy), side - max(0, dy)
-    a = owner_grid[ax0:ax1, ay0:ay1]
-    b = owner_grid[ax0 + dx : ax1 + dx, ay0 + dy : ay1 + dy]
-    both = (a >= 0) & (b >= 0)
-    return a[both], b[both]
+__all__ = ["nfi_events"]
 
 
 def nfi_events(
@@ -72,11 +51,7 @@ def nfi_events(
     """
     if radius < 1:
         raise ValueError(f"radius must be >= 1, got {radius}")
-    grid = assignment.owner_grid()
+    offsets = half_stencil(neighbor_offsets(radius, metric))
     events = CommunicationEvents(component="nfi")
-    for dx, dy in neighbor_offsets(radius, metric):
-        if not (dx > 0 or (dx == 0 and dy > 0)):
-            continue  # count each unordered pair once
-        src, dst = shifted_occupied_pairs(grid, int(dx), int(dy))
-        events.add(src, dst)
+    events.add(*stencil_pairs(assignment.owner_grid(), offsets, empty=-1))
     return events

@@ -1,37 +1,18 @@
 """Near-field interaction events in 3D (extension).
 
-Identical structure to :mod:`repro.fmm.nfi`, with the stencil shifts
-running over a dense 3D owner volume.
+Identical to :mod:`repro.fmm.nfi`, with the half stencil gathered over
+the dense 3D owner volume by the same
+:func:`~repro.fmm.stencil.stencil_pairs` kernel.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro._typing import IntArray
 from repro.fmm.events import CommunicationEvents
+from repro.fmm.stencil import half_stencil, stencil_pairs
 from repro.octree.cells import neighbor_offsets3d
 from repro.partition.assignment3d import Assignment3D
 
-__all__ = ["nfi_events3d", "shifted_occupied_pairs3d"]
-
-
-def shifted_occupied_pairs3d(
-    owner_volume: IntArray, dx: int, dy: int, dz: int
-) -> tuple[IntArray, IntArray]:
-    """Owner pairs ``(vol[c], vol[c + offset])`` over occupied cells."""
-    side = owner_volume.shape[0]
-    if max(abs(dx), abs(dy), abs(dz)) >= side:
-        empty = np.empty(0, dtype=owner_volume.dtype)
-        return empty, empty.copy()
-    lo = [max(0, -d) for d in (dx, dy, dz)]
-    hi = [side - max(0, d) for d in (dx, dy, dz)]
-    a = owner_volume[lo[0] : hi[0], lo[1] : hi[1], lo[2] : hi[2]]
-    b = owner_volume[
-        lo[0] + dx : hi[0] + dx, lo[1] + dy : hi[1] + dy, lo[2] + dz : hi[2] + dz
-    ]
-    both = (a >= 0) & (b >= 0)
-    return a[both], b[both]
+__all__ = ["nfi_events3d"]
 
 
 def nfi_events3d(
@@ -42,11 +23,7 @@ def nfi_events3d(
     """All 3D near-field neighbour communications (one per unordered pair)."""
     if radius < 1:
         raise ValueError(f"radius must be >= 1, got {radius}")
-    vol = assignment.owner_volume()
+    offsets = half_stencil(neighbor_offsets3d(radius, metric))
     events = CommunicationEvents(component="nfi3d")
-    for dx, dy, dz in neighbor_offsets3d(radius, metric):
-        if not (dx > 0 or (dx == 0 and (dy > 0 or (dy == 0 and dz > 0)))):
-            continue  # count each unordered pair once
-        src, dst = shifted_occupied_pairs3d(vol, int(dx), int(dy), int(dz))
-        events.add(src, dst)
+    events.add(*stencil_pairs(assignment.owner_volume(), offsets, empty=-1))
     return events

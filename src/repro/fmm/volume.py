@@ -27,9 +27,9 @@ import numpy as np
 
 from repro._typing import IntArray
 from repro.fmm.events import CommunicationEvents
-from repro.fmm.ffi import FfiEvents
+from repro.fmm.ffi import FfiEvents, interaction_table
+from repro.fmm.stencil import stencil_pairs
 from repro.partition.assignment import Assignment
-from repro.quadtree.interaction import interaction_offsets
 from repro.quadtree.pyramid import EMPTY, occupancy_pyramid, representative_pyramid
 
 __all__ = ["weighted_ffi_events"]
@@ -58,18 +58,17 @@ def weighted_ffi_events(
     pyramid = representative_pyramid(owner)
     occupancy = occupancy_pyramid(owner)
 
-    def cell_volume(level: int, cx: IntArray, cy: IntArray) -> IntArray:
+    def cell_volume(level: int) -> IntArray:
+        """What a transfer out of each cell of ``level`` carries."""
         if volume_model == "multipole":
-            return np.full(cx.shape, expansion_size, dtype=np.int64)
-        return occupancy[level][cx, cy]
+            return np.broadcast_to(np.int64(expansion_size), occupancy[level].shape)
+        return occupancy[level]
 
     interp = CommunicationEvents(component="interpolation")
     for level in range(len(pyramid) - 1, 0, -1):
         child, parent = pyramid[level], pyramid[level - 1]
         cx, cy = np.nonzero(child != EMPTY)
-        if cx.size == 0:
-            continue
-        interp.add(child[cx, cy], parent[cx >> 1, cy >> 1], cell_volume(level, cx, cy))
+        interp.add(child[cx, cy], parent[cx >> 1, cy >> 1], cell_volume(level)[cx, cy])
 
     anterp = interp.reversed()
     anterp.component = "anterpolation"
@@ -77,27 +76,9 @@ def weighted_ffi_events(
     inter = CommunicationEvents(component="interaction")
     for level in range(2, len(pyramid)):
         grid = pyramid[level]
-        side = grid.shape[0]
-        occ_x, occ_y = np.nonzero(grid != EMPTY)
-        if occ_x.size == 0:
-            continue
-        src_all = grid[occ_x, occ_y]
-        vol_all = cell_volume(level, occ_x, occ_y)
-        for px in (0, 1):
-            for py in (0, 1):
-                sel = ((occ_x & 1) == px) & ((occ_y & 1) == py)
-                if not np.any(sel):
-                    continue
-                xs, ys = occ_x[sel], occ_y[sel]
-                srcs, vols = src_all[sel], vol_all[sel]
-                for dx, dy in interaction_offsets(px, py):
-                    tx, ty = xs + dx, ys + dy
-                    inb = (tx >= 0) & (tx < side) & (ty >= 0) & (ty < side)
-                    if not np.any(inb):
-                        continue
-                    dsts = grid[tx[inb], ty[inb]]
-                    occupied = dsts != EMPTY
-                    inter.add(
-                        srcs[inb][occupied], dsts[occupied], vols[inb][occupied]
-                    )
+        # gather cell indices, so every pair names the cell whose volume it carries
+        cells = np.where(grid != EMPTY, np.arange(grid.size).reshape(grid.shape), EMPTY)
+        src, dst = stencil_pairs(cells, interaction_table(2), EMPTY)
+        ranks = grid.ravel()
+        inter.add(ranks[src], ranks[dst], cell_volume(level)[np.unravel_index(src, grid.shape)])
     return FfiEvents(interpolation=interp, anterpolation=anterp, interaction=inter)

@@ -191,11 +191,9 @@ class RuntimeConfig:
         (``REPRO_MEMORY_BUDGET``, e.g. ``"2GiB"``).  When set and the
         dense ``p x p`` distance matrix would exceed it, ACD builds no
         matrix and evaluates histograms through the distance kernel in
-        chunks of ``budget // 32`` pairs (see :mod:`repro.metrics.acd`);
-        :meth:`~repro.fmm.events.CommunicationEvents.compact` sizes its
-        dense scratch table from the same budget.  ``None`` leaves the
-        dense paths unbounded (the previous behaviour).  Results are
-        bit-identical under any budget.
+        chunks of ``budget // 32`` pairs (see :mod:`repro.metrics.acd`).
+        ``None`` leaves the dense matrix path unbounded (the previous
+        behaviour).  Results are bit-identical under any budget.
     """
 
     scale: str = "small"
@@ -237,6 +235,11 @@ class RuntimeConfig:
         timeout_raw = env.get("REPRO_UNIT_TIMEOUT", "").strip()
         faults_raw = env.get("REPRO_FAULTS", "").strip()
         budget_raw = env.get("REPRO_MEMORY_BUDGET", "").strip()
+        if store_raw:
+            try:
+                parse_store_url(store_raw)
+            except ValueError as exc:
+                raise ValueError(f"REPRO_STORE: {exc}") from None
         try:
             memory_budget = parse_bytes(budget_raw) if budget_raw else None
         except ValueError:

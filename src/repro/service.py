@@ -488,26 +488,37 @@ class QueryService:
 _MAX_BODY = 1 << 20  # 1 MiB: recommend payloads are tiny
 
 
+class _LineTooLong(Exception):
+    """A request (414) or header (431) line past the reader's 64 KiB limit."""
+
+
 async def _read_request(reader: asyncio.StreamReader) -> tuple[str, str, bytes]:
     """Parse method, path and body from one HTTP/1.x request."""
-    line = await reader.readline()
-    parts = line.decode("latin-1").split()
-    if len(parts) < 2:
-        raise RequestError("malformed request line")
-    method, path = parts[0].upper(), parts[1]
-    length = 0
-    while True:
-        header = await reader.readline()
-        if header in (b"\r\n", b"\n", b""):
-            break
-        name, _, value = header.decode("latin-1").partition(":")
-        if name.strip().lower() == "content-length":
-            try:
-                length = int(value.strip())
-            except ValueError:
-                raise RequestError("bad Content-Length") from None
-            if length < 0:
-                raise RequestError("bad Content-Length")
+    status = 414
+    try:
+        line = await reader.readline()
+        parts = line.decode("latin-1").split()
+        if len(parts) < 2:
+            raise RequestError("malformed request line")
+        method, path = parts[0].upper(), parts[1]
+        length = 0
+        status = 431
+        while True:
+            header = await reader.readline()
+            if header in (b"\r\n", b"\n", b""):
+                break
+            name, _, value = header.decode("latin-1").partition(":")
+            if name.strip().lower() == "content-length":
+                try:
+                    length = int(value.strip())
+                except ValueError:
+                    raise RequestError("bad Content-Length") from None
+                if length < 0:
+                    raise RequestError("bad Content-Length")
+    except RequestError:
+        raise
+    except ValueError:  # readline() past the limit
+        raise _LineTooLong(status) from None
     if length > _MAX_BODY:
         raise RequestError("request body too large")
     body = await reader.readexactly(length) if length else b""
@@ -569,15 +580,19 @@ async def serve(
     async def handle(reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
         try:
             method, path, body = await _read_request(reader)
+        except _LineTooLong as exc:
+            status = exc.args[0]
+            payload = {"error": HTTPStatus(status).phrase}
         except (RequestError, asyncio.IncompleteReadError, ConnectionError):
             writer.close()
             return
-        try:
-            status, payload = await _dispatch(service, shutdown, method, path, body)
-        except RequestError as exc:
-            status, payload = 400, {"error": str(exc)}
-        except Exception as exc:  # a failing computation must not kill the server
-            status, payload = 500, {"error": f"{type(exc).__name__}: {exc}"}
+        else:
+            try:
+                status, payload = await _dispatch(service, shutdown, method, path, body)
+            except RequestError as exc:
+                status, payload = 400, {"error": str(exc)}
+            except Exception as exc:  # a failing computation must not kill the server
+                status, payload = 500, {"error": f"{type(exc).__name__}: {exc}"}
         writer.write(_http_response(status, payload))
         try:
             await writer.drain()
@@ -811,6 +826,13 @@ def main(argv: list[str] | None = None) -> int:
     p_stats.add_argument("--json", action="store_true", help="machine-readable output")
 
     args = parser.parse_args(argv)
+    try:  # a malformed REPRO_* value is a usage error
+        runtime_config()
+        if args.command == "precompute":
+            active_scale(args.scale)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if args.command == "serve":
         return _run_serve(args)
     if args.command == "precompute":

@@ -1,15 +1,27 @@
-"""Tests for near-field event generation, including a brute-force oracle."""
+"""Tests for near-field event generation and the stencil-gather kernel.
+
+The generators must match two references: a brute-force enumeration of
+neighbour pairs (content), and the per-offset loops of
+:mod:`tests.fmm.oracle` (content *and* order, element for element).
+"""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.distributions import get_distribution
-from repro.fmm import nfi_events, shifted_occupied_pairs
+from repro.fmm import nfi_events, nfi_events3d
+from repro.fmm.ffi import interaction_events
+from repro.fmm.stencil import stencil_pairs
 from repro.metrics import compute_acd
+from repro.octree.pyramid import representative_pyramid3d
 from repro.partition import partition_particles
+from repro.quadtree.pyramid import representative_pyramid
 from repro.topology import make_topology
+from tests.fmm import oracle
 
 
 def brute_force_nfi(assignment, radius, metric):
@@ -32,22 +44,60 @@ def assignment():
     return partition_particles(particles, "hilbert", 8)
 
 
+def pair_list(src, dst):
+    return list(zip(src.tolist(), dst.tolist()))
+
+
 class TestShiftedPairs:
+    """``stencil_pairs`` with one offset is the shifted-grid pairing."""
+
     def test_simple_shift(self):
         grid = np.array([[0, -1], [1, 2]], dtype=np.int64)
-        src, dst = shifted_occupied_pairs(grid, 1, 0)
-        assert sorted(zip(src.tolist(), dst.tolist())) == [(0, 1)]
+        src, dst = stencil_pairs(grid, [[1, 0]], empty=-1)
+        assert sorted(pair_list(src, dst)) == [(0, 1)]
 
     def test_diagonal_shift(self):
         grid = np.array([[0, -1], [-1, 2]], dtype=np.int64)
-        src, dst = shifted_occupied_pairs(grid, 1, 1)
-        assert list(zip(src.tolist(), dst.tolist())) == [(0, 2)]
+        src, dst = stencil_pairs(grid, [[1, 1]], empty=-1)
+        assert pair_list(src, dst) == [(0, 2)]
 
     def test_negative_shift_mirrors_positive(self):
         grid = np.arange(16, dtype=np.int64).reshape(4, 4)
-        s1, d1 = shifted_occupied_pairs(grid, 1, 0)
-        s2, d2 = shifted_occupied_pairs(grid, -1, 0)
-        assert sorted(zip(s1.tolist(), d1.tolist())) == sorted(zip(d2.tolist(), s2.tolist()))
+        s1, d1 = stencil_pairs(grid, [[1, 0]], empty=-1)
+        s2, d2 = stencil_pairs(grid, [[-1, 0]], empty=-1)
+        assert sorted(pair_list(s1, d1)) == sorted(pair_list(d2, s2))
+
+    def test_3d_shift(self):
+        vol = np.full((2, 2, 2), -1, dtype=np.int64)
+        vol[0, 0, 0], vol[0, 0, 1], vol[1, 1, 1] = 3, 4, 5
+        src, dst = stencil_pairs(vol, [[0, 0, 1], [1, 1, 1], [1, 1, 0]], empty=-1)
+        assert pair_list(src, dst) == [(3, 4), (3, 5), (4, 5)]
+
+    def test_parity_table(self):
+        """Each cell reads the table of its parity class, classes in binary order."""
+        grid = np.arange(16, dtype=np.int64).reshape(4, 4)
+        # class k = 2 * (x & 1) + (y & 1); targets off the grid are dropped
+        table = np.array([[[1, 0]], [[0, -1]], [[1, 1]], [[9, 9]]])
+        src, dst = stencil_pairs(grid, table, empty=-1)
+        want = (
+            [(g, g + 4) for g in (0, 2, 8, 10)]  # class 0 reads (x+1, y)
+            + [(g, g - 1) for g in (1, 3, 9, 11)]  # class 1 reads (x, y-1)
+            + [(4, 9), (6, 11)]  # class 2 reads (x+1, y+1): only x = 1 stays on the grid
+        )  # class 3 reads nothing on the grid
+        assert pair_list(src, dst) == want
+
+    @pytest.mark.parametrize(
+        "offsets",
+        [
+            [[1, 0], [0, 1], [1, 1]],  # 2D offsets; 3 * 2 values would read as two 3D ones
+            [1, 0, 0],  # one offset, not an (m, d) stencil
+            np.zeros((4, 1, 3), dtype=int),  # a 2D parity table for a 3D grid
+        ],
+    )
+    def test_offsets_must_fit_the_grid(self, offsets):
+        vol = np.zeros((2, 2, 2), dtype=np.int64)
+        with pytest.raises(ValueError, match="do not fit a 3D grid"):
+            stencil_pairs(vol, offsets, empty=-1)
 
 
 class TestNfiEvents:
@@ -94,3 +144,56 @@ class TestNfiEvents:
         empty = Particles(np.empty(0, dtype=int), np.empty(0, dtype=int), order=3)
         asg = partition_particles(empty, "hilbert", 4)
         assert len(nfi_events(asg)) == 0
+
+
+@st.composite
+def owner_grids(draw):
+    """A random 2D or 3D owner grid over 8 ranks, ``-1`` marking empty cells."""
+    ndim = draw(st.sampled_from([2, 3]))
+    side = 1 << draw(st.integers(1, 5 if ndim == 2 else 3))
+    occupancy = draw(st.floats(0.0, 1.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    grid = rng.integers(0, 8, (side,) * ndim)
+    grid[rng.random(grid.shape) >= occupancy] = -1
+    return grid
+
+
+def assert_same_events(got, want):
+    """Equal content *and* order, element for element."""
+    gs, gd = got.pairs()
+    ws, wd = want.pairs()
+    np.testing.assert_array_equal(gs, ws)
+    np.testing.assert_array_equal(gd, wd)
+    assert len(got) == len(want)
+
+
+class TestAgainstPerOffsetOracle:
+    """The stencil kernel reproduces the per-offset loops' event order."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        grid=owner_grids(),
+        radius=st.integers(1, 4),
+        metric=st.sampled_from(["chebyshev", "manhattan"]),
+    )
+    def test_near_field(self, grid, radius, metric):
+        class Owners:  # the one thing the generators read from an assignment
+            def owner_grid(self):
+                return grid
+
+            owner_volume = owner_grid
+
+        generate = nfi_events if grid.ndim == 2 else nfi_events3d
+        assert_same_events(
+            generate(Owners(), radius, metric), oracle.nfi_events(grid, radius, metric)
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(grid=owner_grids(), granularity=st.sampled_from(["cell", "processor"]))
+    def test_far_field(self, grid, granularity):
+        pyramid = (representative_pyramid if grid.ndim == 2 else representative_pyramid3d)(grid)
+        assert_same_events(
+            interaction_events(pyramid, granularity),
+            oracle.interaction_events(pyramid, granularity),
+        )
+

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.distributions import get_distribution
@@ -9,7 +10,9 @@ from repro.fmm import CommunicationEvents, ffi_events
 from repro.fmm.volume import weighted_ffi_events
 from repro.metrics import acd_breakdown, compute_acd
 from repro.partition import partition_particles
+from repro.quadtree.pyramid import occupancy_pyramid, representative_pyramid
 from repro.topology import make_topology
+from tests.fmm import oracle
 
 
 class TestWeightedEvents:
@@ -59,6 +62,12 @@ class TestWeightedEvents:
         assert b.total_weight == 3
 
 
+def weighted_arrays(events):
+    """``(src, dst, weights)`` of every event, in order (all chunks weighted)."""
+    src, dst = events.pairs()
+    return src, dst, np.concatenate([w for _, _, w in events.iter_weighted_chunks()])
+
+
 @pytest.fixture(scope="module")
 def assignment():
     particles = get_distribution("uniform").sample(500, 5, rng=8)
@@ -106,6 +115,23 @@ class TestWeightedFfi:
             weighted_ffi_events(assignment, "aggregate").as_mapping(), net
         )
         assert agg["interpolation"].mean > plain["interpolation"].mean
+
+    @pytest.mark.parametrize(
+        "distribution, processors", [("uniform", 16), ("plummer", 7), ("normal", 64)]
+    )
+    def test_aggregate_interaction_matches_per_offset_oracle(self, distribution, processors):
+        """Pairs, weights and order equal the per-offset loop's, element for
+        element; each transfer weighs its *source* cell's particle count."""
+        particles = get_distribution(distribution).sample(400, 5, rng=3)
+        asg = partition_particles(particles, "hilbert", processors)
+        owner = asg.owner_grid()
+        want = oracle.interaction_events(
+            representative_pyramid(owner), volumes=occupancy_pyramid(owner)
+        )
+        got = weighted_ffi_events(asg, "aggregate").interaction
+        assert len(got) > 0
+        for g, w in zip(weighted_arrays(got), weighted_arrays(want), strict=True):
+            np.testing.assert_array_equal(g, w)
 
     def test_unknown_model_rejected(self, assignment):
         with pytest.raises(ValueError, match="volume_model"):

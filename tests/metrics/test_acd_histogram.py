@@ -8,6 +8,8 @@ that the bit-identity of grouped campaigns rests on.
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -83,35 +85,40 @@ def test_compact_rejects_out_of_range_ranks():
         events.compact(4)
 
 
-def test_compact_dense_and_sparse_paths_agree(monkeypatch):
-    import repro.fmm.events as events_mod
+def counter_histogram(chunks) -> dict[tuple[int, int], int]:
+    """Reference compaction: integer weight per pair, zero totals dropped."""
+    totals: Counter = Counter()
+    for src, dst, weights in chunks:
+        ws = [1] * len(src) if weights is None else [int(w) for w in weights]
+        for s, d, w in zip(src, dst, ws):
+            totals[int(s), int(d)] += w
+    return {pair: w for pair, w in totals.items() if w}
 
+
+def test_compact_matches_counter_oracle():
     rng = np.random.default_rng(11)
-    events = random_events(rng, 32, weighted=True)
-    dense = events.compact(32)
-    monkeypatch.setattr(events_mod, "_DENSE_COMPACT_CELLS", 0)  # force sparse
-    sparse = events.compact(32)
-    for a, b in zip((dense.src, dense.dst, dense.weights), (sparse.src, sparse.dst, sparse.weights)):
-        np.testing.assert_array_equal(a, b)
-    assert dense.num_events == sparse.num_events
-
-
-def test_compact_cutoff_derives_from_memory_budget():
-    """A configured budget moves the dense/sparse crossover, not the result."""
-    from repro.runtime import configure
-
-    rng = np.random.default_rng(13)
-    events = random_events(rng, 32, weighted=True)
-    default = events.compact(32)
-    # 32*32 cells need 8 KiB of dense scratch; a tiny budget forces the
-    # sparse path, a large one allows the dense path — identical output.
-    for budget in (64, 1 << 30):
-        with configure(memory_budget=budget):
-            hist = events.compact(32)
-        for a, b in zip(
-            (default.src, default.dst, default.weights), (hist.src, hist.dst, hist.weights)
-        ):
-            np.testing.assert_array_equal(a, b)
+    p = 33
+    chunks = []
+    for i in range(12):  # unweighted, weighted and all-zero-weight chunks
+        n = int(rng.integers(1, 300))
+        weights = (None, rng.integers(0, 7, n), np.zeros(n, np.int64))[i % 3]
+        chunks.append((rng.integers(0, p - 1, n), rng.integers(0, p - 1, n), weights))
+    # a pair of its own whose weights sum past 2**53: float64 would round
+    # 2**53 + 1 down to 2**53, the int64 sum must not
+    chunks.append((np.array([32]), np.array([32]), np.array([2**53])))
+    chunks.append((np.array([32]), np.array([32]), np.array([1])))
+    for order in (range(len(chunks)), rng.permutation(len(chunks))):
+        events = CommunicationEvents()
+        for i in order:
+            events.add(*chunks[i])
+        hist = events.compact(p)
+        want = counter_histogram(chunks)
+        assert list(zip(hist.src.tolist(), hist.dst.tolist())) == sorted(want)
+        assert hist.weights.tolist() == [want[pair] for pair in sorted(want)]
+        assert hist.weights.dtype == np.int64
+        assert hist.num_events == len(events)
+        assert hist.total_weight == events.total_weight
+    assert hist.weights[-1] == want[32, 32] == 2**53 + 1
 
 
 def test_compact_independent_of_chunk_boundaries():

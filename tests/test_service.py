@@ -14,8 +14,13 @@ from __future__ import annotations
 
 import asyncio
 import json
+import logging
+import os
+import subprocess
+import sys
 import urllib.error
 import urllib.request
+from pathlib import Path
 
 import pytest
 
@@ -438,6 +443,60 @@ async def _raw_exchange(port: int, request: bytes) -> bytes:
     return response
 
 
+async def _raw_exchange_or_reset(port: int, request: bytes) -> bytes:
+    """Like :func:`_raw_exchange`, but a connection reset reads as a bare close.
+
+    A server that refuses a request before reading all of it may close
+    with unread bytes in its buffer, which resets the connection.
+    """
+    try:
+        return await _raw_exchange(port, request)
+    except ConnectionError:
+        return b""
+
+
+def run_cli(module: str, *args: str, env: dict[str, str]) -> subprocess.CompletedProcess:
+    """Run ``python -m module args`` in a fresh interpreter with ``env`` added."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    full_env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
+    full_env.update(env, PYTHONPATH=src)
+    return subprocess.run(
+        [sys.executable, "-m", module, *args],
+        env=full_env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
+class TestMalformedEnvironment:
+    """A malformed REPRO_* value is a usage error at either CLI."""
+
+    @pytest.mark.parametrize(
+        "module, args, variable, value",
+        [
+            ("repro.experiments.cli", ("fig5",), "REPRO_JOBS", "lots"),
+            ("repro.experiments.cli", ("fig5",), "REPRO_SCALE", "huge"),
+            ("repro.service", ("serve", "--port", "0"), "REPRO_STORE", "ftp://x"),
+            ("repro.service", ("precompute",), "REPRO_SCALE", "huge"),
+        ],
+        ids=["experiments-jobs", "experiments-scale", "service-store", "service-scale"],
+    )
+    def test_exits_2_with_one_line(self, module, args, variable, value):
+        done = run_cli(module, *args, env={variable: value})
+        assert done.returncode == 2, done.stderr
+        assert "Traceback" not in done.stderr
+        lines = done.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and variable in lines[0]
+
+    def test_scale_is_checked_only_where_it_is_read(self, tmp_path):
+        """``store stats`` reads no scale, so a bad REPRO_SCALE does not stop it."""
+        env = {"REPRO_SCALE": "huge", "REPRO_STORE": str(tmp_path)}
+        done = run_cli("repro.service", "store", "stats", "--json", env=env)
+        assert done.returncode == 0, done.stderr
+        assert "entries" in json.loads(done.stdout)
+
+
 class TestHttpBoundary:
     @staticmethod
     async def _serving(service):
@@ -470,6 +529,30 @@ class TestHttpBoundary:
             assert errors == []  # nothing escaped the connection handler
 
         run(scenario())
+
+    @pytest.mark.parametrize(
+        "request_bytes, status",
+        [
+            (b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\n\r\n", b"414"),
+            (b"GET /healthz HTTP/1.1\r\nX-Long: " + b"a" * 70_000 + b"\r\n\r\n", b"431"),
+        ],
+        ids=["request-line", "header-line"],
+    )
+    def test_overlong_line_is_refused(self, caplog, request_bytes, status):
+        async def scenario():
+            service = QueryService(None)
+            server = await self._serving(service)
+            response = await _raw_exchange_or_reset(service.port, request_bytes)
+            # the refusal, or a close that reset the connection before it arrived
+            assert response == b"" or response.split(b" ", 2)[:2] == [b"HTTP/1.1", status]
+            assert (await asyncio.to_thread(_request_json, service.port, "/healthz")) == {
+                "status": "ok"
+            }
+            await self._shutdown(service, server)
+
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            run(scenario())
+        assert [r for r in caplog.records if r.name == "asyncio"] == []
 
     def test_failing_dispatch_gets_the_500_reason_phrase(self, monkeypatch):
         async def scenario():
